@@ -30,6 +30,8 @@ func TestBitrotStormSelfHealing(t *testing.T) {
 	if rep.MaxRollback > rep.Ticks {
 		t.Fatalf("nonsensical rollback: %s", rep)
 	}
+	pinned(t, "storm hash", rep.StormHash, map[string]uint64{"amd64": 0x8ea28d7cd3366f11})
+	pinned(t, "report", rep.String(), map[string]string{"amd64": "bitrot-storm seed 701: 3 days, 4320 ticks, 4164 commits, 58 restarts (5 torn, 3 sick windows), max rollback 58, scrub 602 checked / 16 detected / 13 repaired / 0 unrepairable, fleet 5 jobs / 198.7 GB, images 1 landed / 1 repaired / 0 corrupt / 0 reshipped, double-run 0, split-brain 0, 0 violations"})
 }
 
 // TestBitrotStormRerunIsBitIdentical reruns the acceptance storm with the

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -75,6 +76,9 @@ func TestCampaignSmoke(t *testing.T) {
 	}
 	t.Log(rep)
 	assertClean(t, rep)
+	pinned(t, "trajectory hash", rep.TrajectoryHash, map[string]uint64{"amd64": 0x7831eb44fe8e660b})
+	pinned(t, "reference trajectory hash", rep.RefTrajectory, map[string]uint64{"amd64": 0x7831eb44fe8e660b})
+	pinned(t, "report", rep.String(), map[string]string{"amd64": "seed 1: 40 events (18 kills, 13 torn, 0 partitions, 5 sensor, 4 hardware), 31 recoveries, 13 reconciled, 0 violations, brownouts 0/0 ref, SoC 0.7068/0.7068 ref, converged true"})
 }
 
 // TestCampaignFieldbusAndReplay is the full acceptance campaign: 200+
@@ -131,5 +135,16 @@ func assertClean(t *testing.T, rep *Report) {
 	}
 	if !rep.Converged {
 		t.Errorf("seed %d: chaos day did not converge: %v", rep.Seed, rep)
+	}
+}
+
+// pinned compares a campaign outcome against its value recorded for this
+// GOARCH. Go fuses multiply-adds into FMA on some architectures (arm64),
+// so floating-point trajectories are pinned per architecture; one with no
+// recorded value checks only the test's own invariants.
+func pinned[T comparable](t *testing.T, what string, got T, byArch map[string]T) {
+	t.Helper()
+	if want, ok := byArch[runtime.GOARCH]; ok && got != want {
+		t.Errorf("%s on %s changed:\n got: %v\npin: %v", what, runtime.GOARCH, got, want)
 	}
 }

@@ -33,6 +33,7 @@ func TestSiteLossMigrationHandsOffStorm(t *testing.T) {
 	if rep.CompletedAwayGB <= 0 {
 		t.Errorf("seed %d: surplus sites completed none of the migrated work", cfg.Seed)
 	}
+	pinned(t, "trajectory hash", rep.TrajectoryHash, map[string]uint64{"amd64": 0x5c074601fe69d6b7})
 }
 
 // TestSiteLossBaselineRecordsDamage drives the identical fleet and weather

@@ -36,6 +36,8 @@ func TestStormSurvivalClean(t *testing.T) {
 	if rep.GenStarts == 0 {
 		t.Errorf("seed %d: storm never dispatched the genset; deepen the trough", cfg.Seed)
 	}
+	pinned(t, "trajectory hash", rep.TrajectoryHash, map[string]uint64{"amd64": 0xf8a7d12cd3a1ccc})
+	pinned(t, "report", rep.String(), map[string]string{"amd64": "storm seed 2015: 3 days (survival true), brownouts 0, VMs lost 0 / saved 115, 60 mode transitions ending normal, 0 recoveries, genset 2 starts 17.64 h $6.39, 0 violations"})
 }
 
 // TestStormBaselineRecordsDamage drives the identical weather through the

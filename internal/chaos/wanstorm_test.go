@@ -31,6 +31,8 @@ func TestWANStormExactlyOnce(t *testing.T) {
 	if rep.Heals < 2 {
 		t.Fatalf("two partitions must produce two heals: %s", rep)
 	}
+	pinned(t, "trajectory hash", rep.TrajectoryHash, map[string]uint64{"amd64": 0x1be9c8a23bfbfa19})
+	pinned(t, "report", rep.String(), map[string]string{"amd64": "wan-storm seed 601: 3 sites, 3 days (migration true): 6 jobs moved / 5 landed / 0 in flight, 225.4 GB migrated, 120.5 GB retransmitted, 0 reroutes, 409 drops + 73 corrupt, 2 heals, 0 sites lost, double-run 0, split-brain 0, 0 violations"})
 }
 
 // TestWANStormRerunIsBitIdentical reruns the acceptance campaign with the
