@@ -80,9 +80,10 @@ var errKilled = errors.New("insure-fleetd: killed by -kill-at")
 // darkSite is the scenario's storm-parked site index.
 const darkSite = 0
 
-// dayTrace is site i's weather for one day. Seed lanes follow the chaos
-// package's seeding contract: per-site lanes at seed+1000*(site+1)+day so
-// no two sites (and no two days) ever share a solar stream.
+// dayTrace is site i's weather for one day. Seed lanes follow the
+// seeding contract documented in internal/seed: per-site lanes at
+// seed+1000*(site+1)+day so no two sites (and no two days) ever share a
+// solar stream.
 func dayTrace(seed int64, site, day int) *trace.Trace {
 	if site == darkSite {
 		return trace.Synthesize(solar.Rainy, seed+31*int64(day), time.Second)

@@ -113,7 +113,8 @@ func main() {
 		if days == 0 {
 			days = 1
 		}
-		fcfg := chaos.DefaultSiteLossConfig(*seed)
+		fcfg := chaos.DefaultWANStormConfig(*seed)
+		fcfg.WAN = nil // ideal cross-site links
 		fcfg.Days = days
 		fcfg.Sites = *fleetSize
 		fcfg.StormSite = *stormSite
@@ -121,11 +122,13 @@ func main() {
 		fcfg.Servers = *servers
 		fcfg.Migration = *migrate
 		fcfg.LogDir = *fleetLog
-		rep, err := chaos.RunSiteLoss(fcfg)
+		rep, err := chaos.RunWANStorm(fcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(rep)
+		fmt.Printf("plants: VMs lost %d / saved %d, storm backlog %.1f GB, %.1f GB completed away\n",
+			rep.VMsLost, rep.VMsSaved, rep.StormBacklogGB, rep.CompletedAwayGB)
 		return
 	}
 

@@ -5,15 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
-	"time"
 
 	"insure/internal/diskfault"
-	"insure/internal/faults"
 	"insure/internal/fleet"
 	"insure/internal/journal"
-	"insure/internal/sim"
+	"insure/internal/seed"
 	"insure/internal/wan"
 )
 
@@ -73,16 +70,10 @@ type BitrotStormConfig struct {
 	// are set by the harness).
 	StateFaults diskfault.Config
 
-	// Fleet lane: a Sites-site federation under the usual storm weather,
-	// evacuating checkpoints over a lossy WAN onto a decaying disk.
-	Sites     int
-	StormSite int
-	Batteries int
-	Servers   int
-	JobGB     float64
-	// DropRate/CorruptRate shape the WAN; FleetFaults the fleet disk.
-	DropRate    float64
-	CorruptRate float64
+	// Fleet lane: the federated storm campaign, evacuating checkpoints
+	// onto a decaying disk with fault mix FleetFaults. The harness sets
+	// the campaign's Seed, Days, and LogDir.
+	Fleet       WANStormConfig
 	FleetFaults diskfault.Config
 
 	// StateDir/FleetDir override the private temp directories.
@@ -95,6 +86,9 @@ type BitrotStormConfig struct {
 // failed writes, at-rest decay on both lanes, and a three-site fleet
 // shipping checkpoints across a 15%-drop WAN onto the decaying disk.
 func DefaultBitrotStormConfig(seed int64) BitrotStormConfig {
+	fl := DefaultWANStormConfig(seed)
+	fl.Migration = true
+	fl.WAN = &wan.Config{DropRate: 0.15, CorruptRate: 0.03}
 	return BitrotStormConfig{
 		Seed:          seed,
 		Days:          3,
@@ -108,12 +102,7 @@ func DefaultBitrotStormConfig(seed int64) BitrotStormConfig {
 			BitRot:     0.03,
 			LoseRename: 0.03,
 		},
-		Sites:     3,
-		StormSite: 0,
-		Batteries: 6,
-		Servers:   4,
-		JobGB:     40,
-		DropRate:  0.15, CorruptRate: 0.03,
+		Fleet: fl,
 		// The fleet lane's file population is small (one migration-log
 		// pair plus a handful of image pairs), so the at-rest decay rate
 		// runs hot to make every storm meet it; the mirror of each pair
@@ -146,33 +135,17 @@ type BitrotStormReport struct {
 	ScrubRepaired     int
 	ScrubUnrepairable int
 
-	// Fleet lane.
-	JobsMoved       int
-	MigratedGB      float64
-	ImagesLanded    int
-	ImagesVerified  int
-	ImagesRepaired  int
-	ImagesCorrupt   int
-	ImagesReshipped int
-	FleetFaults     diskfault.Stats
-
-	// Guard counters, zero by construction.
-	JobsDoubleRun int
-	SplitBrain    int
+	// Fleet lane: the coordinator's accounting (guard counters zero by
+	// construction), the checkpoint-image store, and the disk.
+	Fleet       fleet.Totals
+	Images      fleet.ImageStats
+	FleetFaults diskfault.Stats
 
 	// StormHash folds every recovery, repair, fault count, and fleet
 	// trajectory; two same-seed storms must agree on it exactly.
 	StormHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *BitrotStormReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -180,21 +153,8 @@ func (r *BitrotStormReport) String() string {
 	return fmt.Sprintf("bitrot-storm seed %d: %d days, %d ticks, %d commits, %d restarts (%d torn, %d sick windows), max rollback %d, scrub %d checked / %d detected / %d repaired / %d unrepairable, fleet %d jobs / %.1f GB, images %d landed / %d repaired / %d corrupt / %d reshipped, double-run %d, split-brain %d, %d violations",
 		r.Seed, r.Days, r.Ticks, r.Commits, r.Restarts, r.TornKills, r.SickWindows,
 		r.MaxRollback, r.ScrubChecked, r.ScrubDetected, r.ScrubRepaired, r.ScrubUnrepairable,
-		r.JobsMoved, r.MigratedGB, r.ImagesLanded, r.ImagesRepaired, r.ImagesCorrupt,
-		r.ImagesReshipped, r.JobsDoubleRun, r.SplitBrain, r.ViolationCount)
-}
-
-// fold mixes a string into the storm hash, FNV-1a style.
-func fold(h uint64, s string) uint64 {
-	const prime = 1099511628211
-	if h == 0 {
-		h = 14695981039346656037
-	}
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
+		r.Fleet.JobsMoved, r.Fleet.MigratedGB, r.Images.Landed, r.Images.Repaired, r.Images.Corrupt,
+		r.Images.Reshipped, r.Fleet.JobsDoubleRun, r.Fleet.SplitBrain, r.ViolationCount)
 }
 
 // bitrotEvent is one planned adversity on the control-plane lane.
@@ -245,12 +205,12 @@ type bitrotState struct {
 	enc    journal.Encoder
 }
 
-func newBitrotState(seed int64, ticks int) *bitrotState {
+func newBitrotState(stormSeed int64, ticks int) *bitrotState {
 	s := &bitrotState{hashes: make([]uint64, ticks)}
-	h := uint64(seed) * 0x9e3779b97f4a7c15
+	h := digest(uint64(stormSeed) * seed.Gamma)
 	for t := range s.hashes {
-		h = fold(h, fmt.Sprintf("tick %d", t))
-		s.hashes[t] = h
+		h.str(fmt.Sprintf("tick %d", t))
+		s.hashes[t] = uint64(h)
 	}
 	return s
 }
@@ -294,13 +254,7 @@ func RunBitrotStorm(cfg BitrotStormConfig) (*BitrotStormReport, error) {
 	}
 
 	if rep.ScrubUnrepairable != 0 {
-		rep.violate("%d corruptions of mirrored state were unrepairable", rep.ScrubUnrepairable)
-	}
-	if rep.JobsDoubleRun != 0 {
-		rep.violate("%d job IDs landed twice", rep.JobsDoubleRun)
-	}
-	if rep.SplitBrain != 0 {
-		rep.violate("%d jobs entered a transfer while in flight or landed", rep.SplitBrain)
+		rep.violate("scrub-repairs", "%d corruptions of mirrored state were unrepairable", rep.ScrubUnrepairable)
 	}
 	return rep, nil
 }
@@ -331,6 +285,7 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	if err != nil {
 		return err
 	}
+	storm := (*digest)(&rep.StormHash)
 	lastAcked := -1 // newest tick whose commit was acknowledged durable
 
 	// restart models a daemon bounce at tick now: close whatever is left
@@ -342,8 +297,8 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 		_ = st.Close() // a poisoned store reports its poison; the crash eats it
 		res, err := journal.LoadFS(fsys, dir)
 		if err != nil {
-			rep.violate("recovery at tick %d (%s) failed outright: %v", now, kind, err)
-			rep.StormHash = fold(rep.StormHash, fmt.Sprintf("recover-fail %d %s", now, kind))
+			rep.violate("recovers", "recovery at tick %d (%s) failed outright: %v", now, kind, err)
+			storm.str(fmt.Sprintf("recover-fail %d %s", now, kind))
 			// Harness cannot continue without a store; this is terminal.
 			return fmt.Errorf("chaos: bitrot state plane unrecoverable at tick %d: %v", now, err)
 		}
@@ -355,7 +310,7 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 		if payload != nil {
 			t, h, err := state.decode(payload)
 			if err != nil || t < 0 || t >= totalTicks || state.hashes[t] != h {
-				rep.violate("silent divergence at tick %d (%s): recovered image t=%d decode err=%v", now, kind, t, err)
+				rep.violate("no-silent-divergence", "silent divergence at tick %d (%s): recovered image t=%d decode err=%v", now, kind, t, err)
 			} else {
 				recovered = t
 			}
@@ -365,10 +320,10 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			rep.MaxRollback = rollback
 		}
 		if rollback > cfg.SnapshotEvery+bitrotTornSlack {
-			rep.violate("rollback of %d ticks at tick %d (%s) exceeds the %d-tick snapshot window", rollback, now, kind, cfg.SnapshotEvery)
+			rep.violate("rollback-bounded", "rollback of %d ticks at tick %d (%s) exceeds the %d-tick snapshot window", rollback, now, kind, cfg.SnapshotEvery)
 		}
 		rep.Restarts++
-		rep.StormHash = fold(rep.StormHash, fmt.Sprintf("restart %d %s -> %d mid=%d fb=%v", now, kind, recovered, res.Midstream, res.SnapshotFallback))
+		storm.str(fmt.Sprintf("restart %d %s -> %d mid=%d fb=%v", now, kind, recovered, res.Midstream, res.SnapshotFallback))
 		// A real daemon crash-loops until the disk lets it back in: Open
 		// normalizes the pair, which can itself draw a stray fault.
 		for attempt := 0; ; attempt++ {
@@ -379,23 +334,15 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 		}
 	}
 
-	scrub := func(label string) error {
-		srep, err := journal.ScrubDir(fsys, dir)
-		if err != nil {
-			return err
-		}
-		rep.ScrubChecked += srep.Checked
-		rep.ScrubDetected += srep.Detected
-		rep.ScrubRepaired += srep.Repaired
-		rep.ScrubUnrepairable += srep.Unrepairable
-		// Fold counts only: the report's Dir is a per-run temp path.
-		rep.StormHash = fold(rep.StormHash, fmt.Sprintf("scrub %s %d %d %d %d %d",
-			label, srep.Checked, srep.Detected, srep.Repaired, srep.Unrepairable, srep.Midstream))
-		return nil
-	}
-
 	sick := false // inside a planned sick-disk window
 	down := false // store closed by a kill inside the window; reopens at its end
+	// heal closes the sick window: the operator replaces the disk and
+	// bounces the daemon.
+	heal := func(now int, kind string) error {
+		sick, down = false, false
+		fsys.SetDegraded(false)
+		return restart(now, kind)
+	}
 	for day := 0; day < cfg.Days; day++ {
 		p := plan[day]
 		nextKill := 0
@@ -403,18 +350,14 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			now := day*cfg.TicksPerDay + tod
 			rep.Ticks++
 
-			// Sick-disk window: every fsync fails while it is open; at
-			// close the operator replaces the disk and bounces the daemon.
+			// Sick-disk window: every fsync fails while it is open.
 			if !sick && tod >= p.sickStart && tod < p.sickEnd {
 				sick = true
 				rep.SickWindows++
 				fsys.SetDegraded(true)
 			}
 			if sick && tod >= p.sickEnd {
-				sick = false
-				fsys.SetDegraded(false)
-				down = false
-				if err := restart(now, "sick-window-end"); err != nil {
+				if err := heal(now, "sick-window-end"); err != nil {
 					return err
 				}
 			}
@@ -425,9 +368,7 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			for nextKill < len(p.kills) && p.kills[nextKill].tick <= tod {
 				e := p.kills[nextKill]
 				nextKill++
-				kind := "kill-clean"
 				if e.kind == KillTorn {
-					kind = "kill-torn"
 					rep.TornKills++
 					_ = st.Close()
 					// The tear is the crash itself, not a disk fault: chop
@@ -441,7 +382,7 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 					down = true
 					continue
 				}
-				if err := restart(now, kind); err != nil {
+				if err := restart(now, e.kind.String()); err != nil {
 					return err
 				}
 			}
@@ -477,21 +418,18 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			// the next snapshot rotation replaces it. A sick disk denies
 			// the fsyncs a repair needs, so sweeps pause with the daemon.
 			if !sick && !down && now%cfg.SnapshotEvery == cfg.SnapshotEvery/2 {
-				if err := scrub(fmt.Sprintf("t%d", now)); err != nil {
+				if err := rep.scrub(fsys, dir, fmt.Sprintf("scrub t%d", now)); err != nil {
 					return err
 				}
 			}
 		}
 		// A window that runs into the day boundary heals here.
 		if sick {
-			sick = false
-			fsys.SetDegraded(false)
-			down = false
-			if err := restart((day+1)*cfg.TicksPerDay, "sick-day-end"); err != nil {
+			if err := heal((day+1)*cfg.TicksPerDay, "sick-day-end"); err != nil {
 				return err
 			}
 		}
-		if err := scrub(fmt.Sprintf("day %d", day)); err != nil {
+		if err := rep.scrub(fsys, dir, fmt.Sprintf("scrub day %d", day)); err != nil {
 			return err
 		}
 	}
@@ -504,24 +442,45 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	if err := st.Close(); err != nil && st.Failed() == nil {
 		return err
 	}
-	if err := scrub("final"); err != nil {
+	if err := rep.scrub(fsys, dir, "scrub final"); err != nil {
 		return err
 	}
 
 	rep.StateFaults = fsys.Stats()
-	rep.StormHash = fold(rep.StormHash, fmt.Sprintf("state-faults %+v acked %d", rep.StateFaults, lastAcked))
+	storm.str(fmt.Sprintf("state-faults %+v acked %d", rep.StateFaults, lastAcked))
 	if rep.StateFaults.TornWrites+rep.StateFaults.WriteFails+rep.StateFaults.SyncFails == 0 {
-		rep.violate("storm injected no write or fsync faults on the state lane")
+		rep.violate("state-lane-faulted", "storm injected no write or fsync faults on the state lane")
 	}
 	if rep.StateFaults.RotFlips == 0 {
-		rep.violate("storm decayed nothing at rest on the state lane")
+		rep.violate("state-lane-decayed", "storm decayed nothing at rest on the state lane")
 	}
 	return nil
 }
 
-// runBitrotFleetPlane drives the fleet lane: the storm-site evacuation
-// fixture from the WAN campaign, with the migration log and the
-// checkpoint-image store both mounted on a decaying filesystem.
+// scrub sweeps dir on fsys, adds the sweep to the scrub totals, and folds
+// label and the counts into the storm hash — counts only: the sweep
+// report's Dir is a per-run temp path.
+func (rep *BitrotStormReport) scrub(fsys journal.FS, dir, label string) error {
+	srep, err := journal.ScrubDir(fsys, dir)
+	if err != nil {
+		return err
+	}
+	rep.ScrubChecked += srep.Checked
+	rep.ScrubDetected += srep.Detected
+	rep.ScrubRepaired += srep.Repaired
+	rep.ScrubUnrepairable += srep.Unrepairable
+	(*digest)(&rep.StormHash).str(fmt.Sprintf("%s %d %d %d %d %d",
+		label, srep.Checked, srep.Detected, srep.Repaired, srep.Unrepairable, srep.Midstream))
+	return nil
+}
+
+// runBitrotFleetPlane drives the fleet lane: the federated storm campaign,
+// evacuating over a lossy WAN with the migration log and the
+// checkpoint-image store both mounted on a decaying filesystem and a scrub
+// at every day boundary. The trough-day surge is what drives the ladder
+// down far enough to checkpoint VMs and ship their images across the
+// decaying store; the federated run audits the log replay through the
+// same rot, where the mirrored pairs must mask every flipped bit.
 func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	dir := cfg.FleetDir
 	if dir == "" {
@@ -538,136 +497,41 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	fcfg.Seed = cfg.Seed + bitrotFleetLane
 	fcfg.Root = dir
 	fsys := diskfault.New(fcfg, nil)
-
-	wcfg := WANStormConfig{
-		Seed: cfg.Seed, Days: cfg.Days,
-		Sites: cfg.Sites, StormSite: cfg.StormSite,
-		Batteries: cfg.Batteries, Servers: cfg.Servers,
-		JobGB: cfg.JobGB, Migration: true,
-	}
-	net, err := wan.New(wan.Config{
-		Seed: cfg.Seed, Sites: cfg.Sites,
-		DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate,
-	})
-	if err != nil {
-		return err
-	}
-	banks, sites, _, err := wanStormSites(wcfg)
-	if err != nil {
-		return err
-	}
 	images, err := fleet.NewImageStore(fsys, imgDir)
 	if err != nil {
 		return err
 	}
 
-	curFl := fleetFrames{cfg: wcfg}
-	c, err := fleet.New(fleet.Config{
-		Migration: true,
-		WAN:       net,
-		LogDir:    logDir,
-		LogFS:     fsys,
-		Images:    images,
-		Prepare:   curFl.prepare,
-	}, sites)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	const fnvPrime = 1099511628211
-	var traj uint64
-	for day := 0; day < cfg.Days; day++ {
-		cfgs := make([]sim.Config, cfg.Sites)
-		for i := range cfgs {
-			cfgs[i] = wanStormDayConfig(wcfg, banks[i], i, day)
-		}
-		if _, err := c.RunDay(cfgs); err != nil {
-			return err
-		}
-		for i := 0; i < cfg.Sites; i++ {
-			traj = traj*fnvPrime ^ hashFrames(curFl.fl.System(i).Recorder().Frames())
-		}
+	fl := cfg.Fleet
+	fl.Seed, fl.Days, fl.LogDir = cfg.Seed, cfg.Days, logDir
+	frep, err := runFederatedStorm(fl, storageHooks{logFS: fsys, images: images, afterDay: func(day int) error {
 		// Day-boundary scrub: one recursive sweep repairs decayed mirror
 		// copies across the log pair, the sealed segments, and every
 		// landed checkpoint-image pair.
 		for _, d := range []string{logDir, imgDir} {
-			srep, err := journal.ScrubDir(fsys, d)
-			if err != nil {
+			if err := rep.scrub(fsys, d, fmt.Sprintf("fleet-scrub %d %s", day, filepath.Base(d))); err != nil {
 				return err
 			}
-			rep.ScrubChecked += srep.Checked
-			rep.ScrubDetected += srep.Detected
-			rep.ScrubRepaired += srep.Repaired
-			rep.ScrubUnrepairable += srep.Unrepairable
-			rep.StormHash = fold(rep.StormHash, fmt.Sprintf("fleet-scrub %d %s %d %d %d %d %d",
-				day, filepath.Base(d), srep.Checked, srep.Detected, srep.Repaired, srep.Unrepairable, srep.Midstream))
 		}
+		// Before the end-of-run audit reads the log through the same disk.
+		rep.FleetFaults = fsys.Stats()
+		return nil
+	}})
+	if err != nil {
+		return err
 	}
+	rep.merge(&frep.verdict)
 
-	tot := c.Report().Totals
-	rep.JobsMoved = tot.JobsMoved
-	rep.MigratedGB = tot.MigratedGB
-	rep.JobsDoubleRun = tot.JobsDoubleRun
-	rep.SplitBrain = tot.SplitBrain
-	ist := images.Stats()
-	rep.ImagesLanded = ist.Landed
-	rep.ImagesVerified = ist.Verified
-	rep.ImagesRepaired = ist.Repaired
-	rep.ImagesCorrupt = ist.Corrupt
-	rep.ImagesReshipped = ist.Reshipped
-	rep.FleetFaults = fsys.Stats()
-
-	if rep.ImagesLanded == 0 {
-		rep.violate("storm evacuation landed no checkpoint images")
+	rep.Fleet, rep.Images = frep.Totals, images.Stats()
+	if rep.Images.Landed == 0 {
+		rep.violate("images-landed", "storm evacuation landed no checkpoint images")
 	}
-	if rep.ImagesCorrupt != rep.ImagesReshipped {
-		rep.violate("%d corrupt landings but %d re-ships: a damaged image was counted restored", rep.ImagesCorrupt, rep.ImagesReshipped)
+	if rep.Images.Corrupt != rep.Images.Reshipped {
+		rep.violate("images-reshipped", "%d corrupt landings but %d re-ships: a damaged image was counted restored", rep.Images.Corrupt, rep.Images.Reshipped)
 	}
 	if rep.FleetFaults.RotFlips == 0 {
-		rep.violate("storm decayed nothing at rest on the fleet lane")
+		rep.violate("fleet-lane-decayed", "storm decayed nothing at rest on the fleet lane")
 	}
-
-	// Reconcile through the rot: a fresh coordinator replaying the log
-	// over the SAME decaying filesystem must agree with the live one
-	// exactly — the mirrored pairs mask every flipped bit.
-	if err := c.Close(); err != nil {
-		return err
-	}
-	_, auditSites, _, err := wanStormSites(wcfg)
-	if err != nil {
-		return err
-	}
-	audit, err := fleet.New(fleet.Config{
-		Migration: true, WAN: net, LogDir: logDir, LogFS: fsys,
-	}, auditSites)
-	if err != nil {
-		return err
-	}
-	defer audit.Close()
-	if got := audit.Totals(); !reflect.DeepEqual(got, tot) {
-		rep.violate("log replay over the decayed disk does not reconcile with live totals:\n replay: %+v\n   live: %+v", got, tot)
-	}
-
-	rep.StormHash = fold(rep.StormHash, fmt.Sprintf("fleet traj %#x tot %+v img %+v faults %+v", traj, tot, ist, rep.FleetFaults))
+	(*digest)(&rep.StormHash).str(fmt.Sprintf("fleet traj %#x tot %+v img %+v faults %+v", frep.TrajectoryHash, rep.Fleet, rep.Images, rep.FleetFaults))
 	return nil
-}
-
-// fleetFrames is the per-day fixture hook: it captures the live fleet so
-// the harness can fold trajectory hashes after RunDay returns, and arms
-// the storm site's surge faults — the trough-day battery damage is what
-// drives the ladder down far enough to checkpoint VMs and ship their
-// images across the decaying store.
-type fleetFrames struct {
-	cfg WANStormConfig
-	fl  *sim.Fleet
-}
-
-func (f *fleetFrames) prepare(day int, fl *sim.Fleet) {
-	f.fl = fl
-	sys := fl.System(f.cfg.StormSite)
-	inj := faults.NewInjector(stormDayFaults(day, f.cfg.Batteries), faults.Target{
-		Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-	})
-	sys.SetTickHook(func(tod time.Duration) { inj.Tick(tod) })
 }

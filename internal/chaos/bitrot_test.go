@@ -75,14 +75,11 @@ func TestBitrotStormCleanDiskIsQuiet(t *testing.T) {
 	// The clean run trips the "storm injected nothing" sentinels — that is
 	// the point of them — and a one-day run never reaches the trough-day
 	// surge that produces checkpoint images. Nothing else may fire.
-	for _, v := range rep.Violations {
-		switch v {
-		case "storm injected no write or fsync faults on the state lane",
-			"storm decayed nothing at rest on the state lane",
-			"storm decayed nothing at rest on the fleet lane",
-			"storm evacuation landed no checkpoint images":
+	for name, n := range rep.ByInvariant {
+		switch name {
+		case "state-lane-faulted", "state-lane-decayed", "fleet-lane-decayed", "images-landed":
 		default:
-			t.Errorf("clean disk produced a real violation: %s", v)
+			t.Errorf("clean disk broke invariant %s %d times: %v", name, n, rep.Violations)
 		}
 	}
 	if rep.ScrubDetected != 0 || rep.ScrubRepaired != 0 {

@@ -18,10 +18,6 @@ import (
 // does, small enough to never reach past one record into committed state.
 const tornTailBytes = 40
 
-// maxViolationDetail caps how many violations keep their full text; the
-// count is always exact.
-const maxViolationDetail = 16
-
 // Report is the outcome of one campaign.
 type Report struct {
 	Seed   int64
@@ -36,10 +32,6 @@ type Report struct {
 	Recoveries      int
 	Reconciliations int
 
-	// Invariant violations observed on the chaos day.
-	ViolationCount int
-	Violations     []string
-
 	// Chaos-day vs reference-day outcomes.
 	Brownouts, RefBrownouts       int
 	EndSoC, RefEndSoC             float64
@@ -49,13 +41,9 @@ type Report struct {
 	// Converged reports whether the chaos day ended within the
 	// convergence band of the reference day with no extra brownouts.
 	Converged bool
-}
 
-func (r *Report) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	// Invariant violations observed on the chaos day.
+	verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -66,41 +54,26 @@ func (r *Report) String() string {
 		r.EndSoC, r.RefEndSoC, r.Converged)
 }
 
-// newWorld assembles one prototype plant and its manager.
-func newWorld(cfg Config) (*sim.System, *core.Manager, error) {
-	scfg := sim.DefaultConfig(trace.FullSystemHigh())
-	scfg.BatteryCount = cfg.Batteries
-	scfg.ServerCount = cfg.Servers
-	scfg.RecordEvery = time.Minute
-	sys, err := sim.New(scfg, sim.NewSeismicSink())
+// newWorld assembles one prototype plant and its manager, arms the
+// campaign's plant-fault plan on it, and returns the log of times
+// brownouts began; probe, when set, runs after every tick's injection.
+func newWorld(cfg Config, plan faults.Plan, probe func(*sim.System, time.Duration)) (*sim.System, *core.Manager, *[]time.Duration, error) {
+	sys, err := sim.New(plantConfig(trace.FullSystemHigh(), cfg.Batteries, cfg.Servers, nil), sim.NewSeismicSink())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return sys, core.New(core.DefaultConfig(), cfg.Batteries), nil
-}
-
-// driveReference runs the uninterrupted twin: same plant, same hardware
-// fault plan, no kills, no partitions. Returns the run result and the
-// times brownouts began.
-func driveReference(sys *sim.System, mgr *core.Manager, plan faults.Plan) (sim.Result, []time.Duration) {
-	inj := faults.NewInjector(plan, faults.Target{
-		Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-	})
 	var brownTicks []time.Duration
 	seen := 0
-	sys.SetTickHook(func(tod time.Duration) {
-		inj.Tick(tod)
+	armFaults(sys, plan, func(tod time.Duration) {
 		if b := sys.Brownouts(); b > seen {
 			seen = b
 			brownTicks = append(brownTicks, tod)
 		}
+		if probe != nil {
+			probe(sys, tod)
+		}
 	})
-	start, end := sys.Span()
-	step := time.Second
-	for tod := start; tod < end; tod += step {
-		sys.Tick(tod, mgr)
-	}
-	return sys.Finish(mgr), brownTicks
+	return sys, core.New(core.DefaultConfig(), cfg.Batteries), &brownTicks, nil
 }
 
 // Run executes the campaign described by cfg and reports the outcome.
@@ -116,46 +89,43 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Seed: cfg.Seed, Events: len(plan)}
+	count := [...]*int{KillClean: &rep.Kills, KillTorn: &rep.TornKills, Partition: &rep.Partitions,
+		SensorFault: &rep.SensorFaults, HardwareFault: &rep.HardwareFaults}
 	for _, e := range plan {
-		switch e.Kind {
-		case KillClean:
-			rep.Kills++
-		case KillTorn:
-			rep.TornKills++
-		case Partition:
-			rep.Partitions++
-		case SensorFault:
-			rep.SensorFaults++
-		case HardwareFault:
-			rep.HardwareFaults++
-		}
+		*count[e.Kind]++
 	}
 	faultPlan := faultPlanOf(plan)
 
-	// Reference day: hardware faults only.
-	refSys, refMgr, err := newWorld(cfg)
+	// Reference day: the uninterrupted twin — same plant, same hardware
+	// fault plan, no kills, no partitions.
+	refSys, refMgr, refBrown, err := newWorld(cfg, faultPlan, nil)
 	if err != nil {
 		return nil, err
 	}
-	refRes, refBrown := driveReference(refSys, refMgr, faultPlan)
+	start, end := refSys.Span()
+	for tod := start; tod < end; tod += time.Second {
+		refSys.Tick(tod, refMgr)
+	}
+	refRes := refSys.Finish(refMgr)
 
 	// Chaos day.
-	sys, mgr, err := newWorld(cfg)
+	sys, mgr, brownTicks, err := newWorld(cfg, faultPlan, func(sys *sim.System, tod time.Duration) {
+		checkInvariants(rep, sys, tod)
+	})
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.NewRegistry()
-	mgr.AttachTelemetry(reg)
-	store, err := journal.Open(cfg.StateDir)
-	if err != nil {
+	// Append-only journaling (snapshotEvery 0): every record stays a delta
+	// on the tail, so a KillTorn always has a freshly-written record to
+	// tear, never a just-rotated empty file.
+	ctl := &controller{cfg: core.DefaultConfig(), batteries: cfg.Batteries, dir: cfg.StateDir,
+		reg: telemetry.NewRegistry(), mgr: mgr}
+	mgr.AttachTelemetry(ctl.reg)
+	if ctl.store, err = journal.Open(cfg.StateDir); err != nil {
 		return nil, err
 	}
-	defer func() { store.Close() }()
-	jm := core.NewJournaled(mgr, store)
-	// Append-only journaling: every record stays a delta on the tail, so a
-	// KillTorn always has a freshly-written record to tear, never a
-	// just-rotated empty file.
-	jm.SnapshotEvery = 0
+	defer func() { ctl.store.Close() }()
+	jm := ctl.journaled()
 
 	var proxy *faults.FlakyProxy
 	if cfg.Remote {
@@ -183,27 +153,11 @@ func Run(cfg Config) (*Report, error) {
 		cli.RetryBackoff = time.Millisecond
 	}
 
-	inj := faults.NewInjector(faultPlan, faults.Target{
-		Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-	})
-	var brownTicks []time.Duration
-	seenBrown := 0
-	sys.SetTickHook(func(tod time.Duration) {
-		inj.Tick(tod)
-		if b := sys.Brownouts(); b > seenBrown {
-			seenBrown = b
-			brownTicks = append(brownTicks, tod)
-		}
-		checkInvariants(rep, sys, tod)
-	})
-
 	period := mgr.Period()
 	var killTimes []time.Duration
 	healAt := time.Duration(-1)
 	next := 0
-	start, end := sys.Span()
-	step := time.Second
-	for tod := start; tod < end; tod += step {
+	for tod := start; tod < end; tod += time.Second {
 		if healAt >= 0 && tod >= healAt {
 			proxy.SetPartition(false)
 			healAt = -1
@@ -220,24 +174,9 @@ func Run(cfg Config) (*Report, error) {
 					}
 				}
 			case KillClean, KillTorn:
-				// The controller process dies: only the journal survives.
-				// The plant (sys) is physical and keeps running.
-				if err := store.Close(); err != nil {
+				if jm, err = ctl.restart(sys, tod, e.Kind == KillTorn); err != nil {
 					return nil, err
 				}
-				if e.Kind == KillTorn {
-					if err := journal.TruncateTail(cfg.StateDir, tornTailBytes); err != nil {
-						return nil, err
-					}
-				}
-				mgr, store, err = core.Recover(core.DefaultConfig(), cfg.Batteries, cfg.StateDir)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: recovery after %v at %v: %w", e.Kind, tod, err)
-				}
-				mgr.AttachTelemetry(reg)
-				mgr.Reconcile(sys, tod)
-				jm = core.NewJournaled(mgr, store)
-				jm.SnapshotEvery = 0
 				killTimes = append(killTimes, tod)
 			}
 		}
@@ -248,8 +187,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	res := sys.Finish(jm)
 
-	rep.Recoveries = mgr.Recoveries()
-	rep.Reconciliations = mgr.Reconciliations()
+	rep.Recoveries = ctl.mgr.Recoveries()
+	rep.Reconciliations = ctl.mgr.Reconciliations()
 	rep.Brownouts = res.Brownouts
 	rep.RefBrownouts = refRes.Brownouts
 	rep.EndSoC = sys.Bank.MeanSoC()
@@ -260,14 +199,12 @@ func Run(cfg Config) (*Report, error) {
 	rep.RefTrajectory = hashFrames(refSys.Recorder().Frames())
 
 	// No recovery-induced brownouts: a brownout inside a recovery window
-	// must have a counterpart in the reference day — the plant was going
-	// down anyway; recovery did not push it over.
-	for _, t := range brownTicks {
-		if !inRecoveryWindow(t, killTimes, period) {
-			continue
-		}
-		if !nearAny(t, refBrown, 2*period) {
-			rep.violate("brownout at %v inside a recovery window with no reference counterpart", t)
+	// (two control periods after a kill) must have a counterpart within
+	// two periods in the reference day — the plant was going down anyway;
+	// recovery did not push it over.
+	for _, t := range *brownTicks {
+		if within(t, killTimes, 0, 2*period) && !within(t, *refBrown, -2*period, 2*period) {
+			rep.violate("recovery-brownout", "brownout at %v inside a recovery window with no reference counterpart", t)
 		}
 	}
 	rep.Converged = rep.Brownouts <= rep.RefBrownouts &&
@@ -282,68 +219,26 @@ func checkInvariants(rep *Report, sys *sim.System, tod time.Duration) {
 	for i := 0; i < f.Size(); i++ {
 		p := f.Pair(i)
 		if p.Charge.Closed() && p.Discharge.Closed() {
-			rep.violate("unit %d: charge and discharge contacts both closed at %v", i, tod)
+			rep.violate("relay-exclusive", "unit %d: charge and discharge contacts both closed at %v", i, tod)
 		}
 	}
 	if f.P2.Closed() && (f.P1.Closed() || f.P3.Closed()) {
-		rep.violate("series switch P2 closed alongside a parallel switch at %v", tod)
+		rep.violate("topology-legal", "series switch P2 closed alongside a parallel switch at %v", tod)
 	}
 	const eps = 1e-9
 	for i := 0; i < sys.Bank.Size(); i++ {
 		if soc := sys.Bank.Unit(i).SoC(); soc < -eps || soc > 1+eps {
-			rep.violate("unit %d: SoC %v out of bounds at %v", i, soc, tod)
+			rep.violate("soc-bounds", "unit %d: SoC %v out of bounds at %v", i, soc, tod)
 		}
 	}
 }
 
-// inRecoveryWindow reports whether t falls within two control periods
-// after any kill.
-func inRecoveryWindow(t time.Duration, kills []time.Duration, period time.Duration) bool {
-	for _, k := range kills {
-		if t >= k && t <= k+2*period {
-			return true
-		}
-	}
-	return false
-}
-
-// nearAny reports whether t is within tol of any value in set.
-func nearAny(t time.Duration, set []time.Duration, tol time.Duration) bool {
+// within reports whether t falls in [s+lo, s+hi] for any s in set.
+func within(t time.Duration, set []time.Duration, lo, hi time.Duration) bool {
 	for _, s := range set {
-		d := t - s
-		if d < 0 {
-			d = -d
-		}
-		if d <= tol {
+		if t >= s+lo && t <= s+hi {
 			return true
 		}
 	}
 	return false
-}
-
-// hashFrames folds a recorded trajectory into an FNV-1a digest: tick time,
-// stored energy, running VMs, and every unit's SoC and relay mode. Two
-// campaigns agree on this hash only if the plant moved identically.
-func hashFrames(frames []sim.Frame) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	for _, f := range frames {
-		mix(uint64(f.At))
-		mix(math.Float64bits(float64(f.StoredWh)))
-		mix(uint64(f.RunningVM))
-		for i := range f.SoCs {
-			mix(math.Float64bits(f.SoCs[i]))
-			mix(uint64(f.Modes[i]))
-		}
-	}
-	return h
 }

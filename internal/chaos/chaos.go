@@ -18,53 +18,27 @@
 // reproduce the chaos trajectory bit-for-bit — the recovery path is as
 // deterministic as the happy path.
 //
-// # Seeding contract
+// Every campaign draws its randomness under the seeding contract
+// documented in internal/seed, so a seed pins the whole campaign.
 //
-// Every source of adversity in a campaign draws its randomness in one of
-// exactly three ways, so that a seed pins the whole campaign and no layer
-// can steal entropy from another:
-//
-//  1. Up-front plans. Anything scheduled ahead of time — the chaos Plan in
-//     this package, wan.PlanOutages partition/collapse windows — consumes a
-//     fixed number of PRNG draws per event (Plan draws six per event even
-//     when a kind needs fewer; PlanOutages draws three per window) from its
-//     own rand.New(rand.NewSource(seed)). Fixed draw counts mean adding an
-//     event kind never shifts the schedule of later events under the same
-//     seed.
-//  2. Stateless per-chunk fates. Per-tick randomness that cannot be planned
-//     up front — one WAN chunk's delivered/dropped/corrupted fate, one
-//     disk write's torn/failed fate — is a pure hash (SplitMix64) of its
-//     coordinates: (seed, from, to, transfer, chunk, attempt) for the WAN,
-//     (seed, path, op kind, per-path op count) for internal/diskfault.
-//     No stream state survives between draws, so a daemon resumed from a
-//     snapshot re-derives the identical fates mid-image. Disk bit rot
-//     extends the scheme with a persistence key: decay is drawn per
-//     (seed, path, file generation), the generation bumping on every
-//     create-or-replace event, so a decayed file reads back identically
-//     decayed until something rewrites it — which is what makes
-//     scrub-and-repair both observable and reproducible.
-//  3. No randomness at all. Deterministic fault hooks such as
-//     faults.FlakyProxy.SetPartition and diskfault.FS.SetDegraded (the
-//     sick-disk window: every fsync fails while it is on) are switched on
-//     and off by the campaign at planned times; the mechanism itself has
-//     no entropy to seed away, and its effect is reproduced by replaying
-//     the plan.
-//
-// Seed lanes keep concurrent streams disjoint: per-site solar traces use
-// seed+1000*(site+1)+day, the WAN partition planner offsets the campaign
-// seed, chunk fates fold the link seed into the hash, and the bit-rot
-// storm gives its kill planner and each injecting filesystem its own
-// additive lane constant. Never share one PRNG between layers and never
-// draw a data-dependent number of values — both break bit-identical
-// reruns and snapshot resume.
+// The campaigns share their verdict (named invariants with exact
+// per-name counts), their trajectory digest, and their plant fixtures;
+// each runner keeps only the machinery it alone drives.
 package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
+	"insure/internal/battery"
+	"insure/internal/core"
 	"insure/internal/faults"
+	"insure/internal/journal"
+	"insure/internal/sim"
+	"insure/internal/telemetry"
+	"insure/internal/trace"
 )
 
 // Kind classifies one scheduled chaos event.
@@ -90,21 +64,19 @@ const (
 	HardwareFault
 )
 
+var kindNames = [...]string{
+	KillClean:     "kill-clean",
+	KillTorn:      "kill-torn",
+	Partition:     "partition",
+	SensorFault:   "sensor-fault",
+	HardwareFault: "hardware-fault",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case KillClean:
-		return "kill-clean"
-	case KillTorn:
-		return "kill-torn"
-	case Partition:
-		return "partition"
-	case SensorFault:
-		return "sensor-fault"
-	case HardwareFault:
-		return "hardware-fault"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one scheduled chaos event.
@@ -255,4 +227,153 @@ func faultPlanOf(events []Event) faults.Plan {
 		}
 	}
 	return p
+}
+
+// maxViolationDetail caps how many violations keep their full text; the
+// counts are always exact.
+const maxViolationDetail = 16
+
+// verdict is the invariant ledger every campaign report embeds: an exact
+// count overall and per named invariant, plus the first
+// maxViolationDetail messages in full.
+type verdict struct {
+	ViolationCount int
+	Violations     []string
+	// ByInvariant counts violations per invariant name.
+	ByInvariant map[string]int
+}
+
+// violate records one breach of the invariant called name.
+func (v *verdict) violate(name, format string, args ...any) {
+	v.note(name, 1)
+	if len(v.Violations) < maxViolationDetail {
+		v.Violations = append(v.Violations, fmt.Sprintf(format, args...))
+	}
+}
+
+// merge folds another ledger into v, keeping the detail cap.
+func (v *verdict) merge(o *verdict) {
+	for name, n := range o.ByInvariant {
+		v.note(name, n)
+	}
+	room := maxViolationDetail - len(v.Violations)
+	v.Violations = append(v.Violations, o.Violations[:min(room, len(o.Violations))]...)
+}
+
+func (v *verdict) note(name string, n int) {
+	if v.ByInvariant == nil {
+		v.ByInvariant = map[string]int{}
+	}
+	v.ByInvariant[name] += n
+	v.ViolationCount += n
+}
+
+// digest is the campaigns' one hash. str and word feed bytes FNV-1a style
+// (str starts a zero digest from the offset basis); chain folds a finished
+// sub-digest in, so two runs agree only if every day and every site
+// agreed, in the same order.
+type digest uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func (d *digest) str(s string) {
+	if *d == 0 {
+		*d = fnvOffset
+	}
+	for i := 0; i < len(s); i++ {
+		*d = (*d ^ digest(s[i])) * fnvPrime
+	}
+}
+
+func (d *digest) word(v uint64) {
+	for i := 0; i < 8; i++ {
+		*d = (*d ^ digest(v>>(8*i)&0xff)) * fnvPrime
+	}
+}
+
+func (d *digest) chain(sub uint64) { *d = *d*fnvPrime ^ digest(sub) }
+
+// hashFrames digests a recorded trajectory: tick time, stored energy,
+// running VMs, and every unit's SoC and relay mode. Two campaigns agree on
+// this hash only if the plant moved identically.
+func hashFrames(frames []sim.Frame) uint64 {
+	d := digest(fnvOffset)
+	for _, f := range frames {
+		d.word(uint64(f.At))
+		d.word(math.Float64bits(float64(f.StoredWh)))
+		d.word(uint64(f.RunningVM))
+		for i := range f.SoCs {
+			d.word(math.Float64bits(f.SoCs[i]))
+			d.word(uint64(f.Modes[i]))
+		}
+	}
+	return uint64(d)
+}
+
+// armFaults injects plan into sys's bank, relays and probes as the day
+// ticks, then runs probe (when set) on every tick.
+func armFaults(sys *sim.System, plan faults.Plan, probe func(time.Duration)) {
+	inj := faults.NewInjector(plan, faults.Target{Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes})
+	sys.SetTickHook(func(tod time.Duration) {
+		inj.Tick(tod)
+		if probe != nil {
+			probe(tod)
+		}
+	})
+}
+
+// plantConfig is one day of a prototype plant on tr, recording every
+// minute. A non-nil bank carries its charge across days.
+func plantConfig(tr *trace.Trace, batteries, servers int, bank *battery.Bank) sim.Config {
+	scfg := sim.DefaultConfig(tr)
+	scfg.BatteryCount = batteries
+	scfg.ServerCount = servers
+	scfg.RecordEvery = time.Minute
+	scfg.Bank = bank
+	return scfg
+}
+
+// controller is a journaled control process a campaign kills and
+// recovers while the plant it drives keeps running on physics.
+type controller struct {
+	cfg           core.Config
+	batteries     int
+	dir           string
+	reg           *telemetry.Registry
+	snapshotEvery int
+	mgr           *core.Manager
+	store         *journal.Store
+}
+
+// journaled wraps the live manager so every control pass commits.
+func (c *controller) journaled() *core.JournaledManager {
+	jm := core.NewJournaled(c.mgr, c.store)
+	jm.SnapshotEvery = c.snapshotEvery
+	return jm
+}
+
+// restart kills the process at tod — only the journal in dir survives,
+// its tail chopped first when torn — then recovers the control state,
+// re-attaches telemetry, re-drives sys to the recovered intent, and
+// returns the new process's journaled manager.
+func (c *controller) restart(sys *sim.System, tod time.Duration, torn bool) (*core.JournaledManager, error) {
+	if err := c.store.Close(); err != nil {
+		return nil, err
+	}
+	if torn {
+		if err := journal.TruncateTail(c.dir, tornTailBytes); err != nil {
+			return nil, err
+		}
+	}
+	mgr, store, err := core.Recover(c.cfg, c.batteries, c.dir)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: recovery at %v: %w", tod, err)
+	}
+	c.mgr, c.store = mgr, store
+	mgr.AttachTelemetry(c.reg)
+	mgr.Reconcile(sys, tod)
+	return c.journaled(), nil
 }

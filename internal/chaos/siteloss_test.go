@@ -4,16 +4,24 @@ import (
 	"testing"
 )
 
+// siteLossConfig is the federated storm over ideal links: the site-loss
+// acceptance campaign, three sites with a three-day storm over site 0.
+func siteLossConfig(seed int64) WANStormConfig {
+	cfg := DefaultWANStormConfig(seed)
+	cfg.WAN = nil
+	return cfg
+}
+
 // TestSiteLossMigrationHandsOffStorm is the federation acceptance bar: a
 // three-day storm parked over one of three sites, migration armed. The
 // darkened site must hand its deferred batch work to the sunny sites, the
 // sunny sites must finish it, and no VM anywhere may be lost
 // uncheckpointed.
 func TestSiteLossMigrationHandsOffStorm(t *testing.T) {
-	cfg := DefaultSiteLossConfig(2015)
+	cfg := siteLossConfig(2015)
 	cfg.Migration = true
 	cfg.LogDir = t.TempDir()
-	rep, err := RunSiteLoss(cfg)
+	rep, err := RunWANStorm(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
@@ -41,8 +49,8 @@ func TestSiteLossMigrationHandsOffStorm(t *testing.T) {
 // darkened site real VM losses, or the migration comparison proves
 // nothing.
 func TestSiteLossBaselineRecordsDamage(t *testing.T) {
-	cfg := DefaultSiteLossConfig(2015)
-	rep, err := RunSiteLoss(cfg)
+	cfg := siteLossConfig(2015)
+	rep, err := RunWANStorm(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
@@ -59,13 +67,13 @@ func TestSiteLossBaselineRecordsDamage(t *testing.T) {
 // seed: the whole fleet — every plant trajectory and every shipment — must
 // reproduce exactly.
 func TestSiteLossDeterministic(t *testing.T) {
-	cfg := DefaultSiteLossConfig(7)
+	cfg := siteLossConfig(7)
 	cfg.Migration = true
-	a, err := RunSiteLoss(cfg)
+	a, err := RunWANStorm(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
-	b, err := RunSiteLoss(cfg)
+	b, err := RunWANStorm(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
@@ -81,11 +89,11 @@ func TestSiteLossDeterministic(t *testing.T) {
 // final day: the storm site dies at 15h with its in-flight resources, the
 // survivors keep running, and the loss is journaled.
 func TestSiteLossHardFailure(t *testing.T) {
-	cfg := DefaultSiteLossConfig(2015)
+	cfg := siteLossConfig(2015)
 	cfg.Migration = true
 	cfg.FailDay = cfg.Days - 1
 	cfg.LogDir = t.TempDir()
-	rep, err := RunSiteLoss(cfg)
+	rep, err := RunWANStorm(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}

@@ -93,15 +93,7 @@ type StormReport struct {
 	// only if the plant moved identically through all days.
 	TrajectoryHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *StormReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -175,21 +167,14 @@ func RunStorm(cfg StormConfig) (*StormReport, error) {
 			return nil, err
 		}
 		if rep.Recoveries == 0 {
-			rep.violate("kill day %d produced no recovery (emergency never reached?)", cfg.KillDay)
+			rep.violate("kill-recovered", "kill day %d produced no recovery (emergency never reached?)", cfg.KillDay)
 		}
-		if rep.TrajectoryHash != ref.TrajectoryHash {
-			rep.violate("interrupted storm trajectory %x diverged from uninterrupted %x",
-				rep.TrajectoryHash, ref.TrajectoryHash)
+		if rep.TrajectoryHash != ref.TrajectoryHash || rep.FinalMode != ref.FinalMode ||
+			rep.ModeTransitions != ref.ModeTransitions {
+			rep.violate("kill-invisible", "interrupted storm (trajectory %x, rung %s, %d ladder moves) diverged from uninterrupted (%x, %s, %d)",
+				rep.TrajectoryHash, rep.FinalMode, rep.ModeTransitions, ref.TrajectoryHash, ref.FinalMode, ref.ModeTransitions)
 		}
-		if rep.FinalMode != ref.FinalMode {
-			rep.violate("interrupted storm ended in rung %s, uninterrupted in %s", rep.FinalMode, ref.FinalMode)
-		}
-		if rep.ModeTransitions != ref.ModeTransitions {
-			rep.violate("interrupted storm made %d ladder moves, uninterrupted %d",
-				rep.ModeTransitions, ref.ModeTransitions)
-		}
-		rep.ViolationCount += ref.ViolationCount
-		rep.Violations = append(rep.Violations, ref.Violations...)
+		rep.merge(&ref.verdict)
 		return rep, nil
 	}
 	return runStorm(cfg, false)
@@ -199,11 +184,12 @@ func RunStorm(cfg StormConfig) (*StormReport, error) {
 // hard-stopped on cfg.KillDay at the first control pass spent in an
 // emergency rung and recovered from the journal in cfg.StateDir.
 func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
-	mcfg := core.DefaultConfig()
+	ctl := &controller{cfg: core.DefaultConfig(), batteries: cfg.Batteries, dir: cfg.StateDir,
+		reg: telemetry.NewRegistry(), snapshotEvery: core.DefaultSnapshotEvery}
 	if cfg.Survival {
-		mcfg.Survival = core.DefaultSurvivalConfig()
+		ctl.cfg.Survival = core.DefaultSurvivalConfig()
 	}
-	mgr := core.New(mcfg, cfg.Batteries)
+	ctl.mgr = core.New(ctl.cfg, cfg.Batteries)
 	// The storm arrives mid-drought: the bank has already been run down to
 	// the dispatch floor, so the first dark morning genuinely forces the
 	// ladder (and, when fitted, the last-resort generator) into play.
@@ -215,44 +201,34 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 	if cfg.Genset {
 		gen = genset.New(genset.DieselParams())
 	}
-	reg := telemetry.NewRegistry()
-	mgr.AttachTelemetry(reg)
+	ctl.mgr.AttachTelemetry(ctl.reg)
 
-	var store *journal.Store
-	var drive sim.Manager = mgr
+	var drive sim.Manager = ctl.mgr
 	if kill {
-		store, err = journal.Open(cfg.StateDir)
-		if err != nil {
+		if ctl.store, err = journal.Open(cfg.StateDir); err != nil {
 			return nil, err
 		}
-		defer func() { store.Close() }()
-		drive = core.NewJournaled(mgr, store)
+		defer func() { ctl.store.Close() }()
+		drive = ctl.journaled()
 	}
 
 	rep := &StormReport{Seed: cfg.Seed, Days: cfg.Days, Survival: cfg.Survival}
-	const fnvPrime = 1099511628211
-	period := mgr.Period()
+	traj := (*digest)(&rep.TrajectoryHash)
+	period := ctl.mgr.Period()
 	killed := false
 
 	for day := 0; day < cfg.Days; day++ {
-		scfg := sim.DefaultConfig(stormDayTrace(cfg.Seed, day))
-		scfg.BatteryCount = cfg.Batteries
-		scfg.ServerCount = cfg.Servers
-		scfg.RecordEvery = time.Minute
-		scfg.Bank = bank
+		scfg := plantConfig(stormDayTrace(cfg.Seed, day), cfg.Batteries, cfg.Servers, bank)
 		scfg.Secondary = gen
 		sys, err := sim.New(scfg, sim.NewVideoSink())
 		if err != nil {
 			return nil, err
 		}
-		sys.AttachTelemetry(reg)
-		inj := faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-			Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-		})
-		sys.SetTickHook(func(tod time.Duration) { inj.Tick(tod) })
+		sys.AttachTelemetry(ctl.reg)
+		armFaults(sys, stormDayFaults(day, cfg.Batteries), nil)
 
 		start, end := sys.Span()
-		prevMode := mgr.Mode()
+		prevMode := ctl.mgr.Mode()
 		lostSeen := 0
 		killNext := false
 		for tod := start; tod < end; tod += time.Second {
@@ -262,31 +238,23 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 				// keeps running on physics.
 				killNext = false
 				killed = true
-				modeBefore := mgr.Mode()
-				if err := store.Close(); err != nil {
+				modeBefore := ctl.mgr.Mode()
+				if drive, err = ctl.restart(sys, tod, false); err != nil {
 					return nil, err
 				}
-				m2, s2, err := core.Recover(mcfg, cfg.Batteries, cfg.StateDir)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: storm recovery on day %d at %v: %w", day, tod, err)
+				if ctl.mgr.Mode() != modeBefore {
+					rep.violate("recovery-rung", "recovery landed in rung %s, controller died in %s", ctl.mgr.Mode(), modeBefore)
 				}
-				if m2.Mode() != modeBefore {
-					rep.violate("recovery landed in rung %s, controller died in %s", m2.Mode(), modeBefore)
-				}
-				m2.AttachTelemetry(reg)
-				m2.Reconcile(sys, tod)
-				mgr, store = m2, s2
-				drive = core.NewJournaled(mgr, store)
-				prevMode = mgr.Mode()
+				prevMode = ctl.mgr.Mode()
 			}
 
 			sys.Tick(tod, drive)
 
 			// Ladder adjacency: transitions only happen inside a control
 			// pass, so sampling every tick observes each one.
-			if cur := mgr.Mode(); cur != prevMode {
+			if cur := ctl.mgr.Mode(); cur != prevMode {
 				if !core.LadderAdjacent(prevMode, cur) {
-					rep.violate("day %d: illegal ladder move %s -> %s at %v", day, prevMode, cur, tod)
+					rep.violate("ladder-adjacent", "day %d: illegal ladder move %s -> %s at %v", day, prevMode, cur, tod)
 				}
 				prevMode = cur
 			}
@@ -294,13 +262,13 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 			// cut while the survivability layer is on duty.
 			if cfg.Survival {
 				if l := sys.Cluster.VMsLost(); l > lostSeen {
-					rep.violate("day %d: %d VMs lost uncheckpointed at %v", day, l-lostSeen, tod)
+					rep.violate("no-vms-lost", "day %d: %d VMs lost uncheckpointed at %v", day, l-lostSeen, tod)
 					lostSeen = l
 				}
 			}
 
 			if kill && !killed && day == cfg.KillDay &&
-				mgr.Mode() >= core.ModeConservative && tod%period == 0 {
+				ctl.mgr.Mode() >= core.ModeConservative && tod%period == 0 {
 				killNext = true
 			}
 		}
@@ -316,12 +284,12 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 		rep.VMsSaved += res.VMsSaved
 		rep.ProcessedGB += res.ProcessedGB
 		rep.MeanUptime += res.UptimeFrac / float64(cfg.Days)
-		rep.TrajectoryHash = rep.TrajectoryHash*fnvPrime ^ hashFrames(sys.Recorder().Frames())
+		traj.chain(hashFrames(sys.Recorder().Frames()))
 	}
 
-	rep.ModeTransitions = mgr.ModeTransitions()
-	rep.FinalMode = mgr.Mode()
-	rep.Recoveries = mgr.Recoveries()
+	rep.ModeTransitions = ctl.mgr.ModeTransitions()
+	rep.FinalMode = ctl.mgr.Mode()
+	rep.Recoveries = ctl.mgr.Recoveries()
 	if gen != nil {
 		rep.GenStarts = gen.Starts()
 		rep.GenRunHours = gen.RunTime().Hours()
@@ -331,10 +299,10 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 	}
 	if cfg.Survival {
 		if rep.Brownouts > 0 {
-			rep.violate("survival-managed storm crash-browned out %d times", rep.Brownouts)
+			rep.violate("no-brownouts", "survival-managed storm crash-browned out %d times", rep.Brownouts)
 		}
 		if rep.VMsLost > 0 {
-			rep.violate("survival-managed storm lost %d VMs uncheckpointed", rep.VMsLost)
+			rep.violate("no-vms-lost", "survival-managed storm lost %d VMs uncheckpointed", rep.VMsLost)
 		}
 	}
 	return rep, nil

@@ -10,23 +10,32 @@ import (
 	"insure/internal/core"
 	"insure/internal/faults"
 	"insure/internal/fleet"
+	"insure/internal/journal"
 	"insure/internal/sim"
+	"insure/internal/solar"
+	"insure/internal/trace"
 	"insure/internal/wan"
 	"insure/internal/workload"
 )
 
-// The flaky-WAN storm campaign is the degraded-network federation's proving
-// ground: the site-loss scenario — a multi-day storm parked over one site
-// while the others stay sunny — re-run with every cross-site byte forced
-// through a lossy, partition-prone backhaul. Chunks drop and corrupt at
-// storm rates, and scheduled six-hour partitions cut first a donor and then
-// the evacuating site itself mid-transfer. The invariants are the
-// federation's exactly-once contract: no migrated job is lost, none lands
-// twice, no partition is mistaken for a death, the coordinator's live
-// accounting reconciles exactly with a fresh replay of its migration log,
-// and with migration off the whole fleet is byte-identical to N solo runs.
+// The federated storm campaign is the federation layer's proving ground:
+// N sites under one coordinator, with the storm campaign's weather (and its
+// battery surges) parked over exactly one of them for several days while
+// the others stay sunny. With migration armed the darkened site must hand
+// its deferred batch work to the surplus sites, see it completed, and lose
+// zero VMs — the coordinator's migrate-before-shed contract. With migration
+// off the same storm shows what a solo plant loses, and every plant must be
+// byte-identical to its solo run.
+//
+// Optionally every cross-site byte rides a lossy, partition-prone backhaul:
+// chunks drop and corrupt at storm rates, and scheduled partitions cut
+// first a donor and then the evacuating site itself mid-transfer.
+// Optionally the storm site is lost outright. Either way the federation's
+// exactly-once contract holds: no migrated job is lost, none lands twice,
+// no partition is mistaken for a death, and the coordinator's live
+// accounting reconciles exactly with a fresh replay of its migration log.
 
-// WANStormConfig shapes a federated storm campaign over a degraded WAN.
+// WANStormConfig shapes a federated storm campaign.
 type WANStormConfig struct {
 	// Seed drives the weather, the battery-fault schedule, and every chunk
 	// fate; the same seed reproduces the campaign bit-for-bit.
@@ -39,28 +48,28 @@ type WANStormConfig struct {
 	// Batteries and Servers size each plant.
 	Batteries int
 	Servers   int
-	// Migration arms the federation stack. Off, the campaign additionally
-	// re-runs every site solo and demands byte-identity — the WAN and the
-	// failure detector may change only what the coordinator believes.
+	// Migration arms the full federation stack: survivability ladders on
+	// every site plus surplus-driven migration and checkpoint shipping.
+	// Off, the fleet is N pre-federation plants riding the same weather.
 	Migration bool
 	// JobGB is the per-arrival batch dataset size at every site.
 	JobGB float64
-	// DropRate/CorruptRate are the per-chunk-attempt loss probabilities
-	// (the acceptance bar is a combined rate >= 0.30).
-	DropRate    float64
-	CorruptRate float64
-	// Partitions are the scheduled uplink outages. Nil gets the default
-	// pair of six-hour cuts: a donor on day 0, the storm site itself on
-	// day 1 — mid-evacuation, with transfers in flight.
-	Partitions []wan.Outage
-	// LogDir, when set, holds the migration log; empty uses a private
-	// temporary directory (the log is required — reconciliation replays it).
+	// WAN, when set, routes every cross-site byte through the degraded
+	// backhaul model; its Seed and Sites come from this config. Nil keeps
+	// the coordinator's ideal single-shot links.
+	WAN *wan.Config
+	// FailDay, when >= 0, hard-kills the storm site on that day at 15h —
+	// storm damage turning into total site loss.
+	FailDay int
+	// LogDir holds the migration log; empty uses a private temporary
+	// directory (the log is required — the audit replays it).
 	LogDir string
 }
 
 // DefaultWANStormConfig is the acceptance campaign: three sites, a
-// three-day storm over site 0, 30% drops + 5% corruption, two 6-hour
-// partitions.
+// three-day storm over site 0, 30% drops + 5% corruption, and two six-hour
+// partitions — a donor on day 0, then the storm site itself on day 1,
+// mid-evacuation with transfers in flight. Set WAN to nil for ideal links.
 func DefaultWANStormConfig(seed int64) WANStormConfig {
 	return WANStormConfig{
 		Seed:      seed,
@@ -70,22 +79,15 @@ func DefaultWANStormConfig(seed int64) WANStormConfig {
 		Batteries: 6,
 		Servers:   4,
 		JobGB:     40,
-		DropRate:  0.30, CorruptRate: 0.05,
+		WAN: &wan.Config{DropRate: 0.30, CorruptRate: 0.05, Outages: []wan.Outage{
+			{Site: 1, Day: 0, From: 9 * time.Hour, To: 15 * time.Hour},
+			{Site: 0, Day: 1, From: 10 * time.Hour, To: 16 * time.Hour},
+		}},
+		FailDay: -1,
 	}
 }
 
-// defaultPartitions is the scheduled outage pair for an n-site fleet with
-// the storm over stormSite: six hours without a donor, then six hours with
-// the evacuating site itself cut off mid-transfer.
-func defaultPartitions(stormSite, sites int) []wan.Outage {
-	donor := (stormSite + 1) % sites
-	return []wan.Outage{
-		{Site: donor, Day: 0, From: 9 * time.Hour, To: 15 * time.Hour},
-		{Site: stormSite, Day: 1, From: 10 * time.Hour, To: 16 * time.Hour},
-	}
-}
-
-// WANStormReport is the outcome of one flaky-WAN storm campaign.
+// WANStormReport is the outcome of one federated storm campaign.
 type WANStormReport struct {
 	Seed      int64
 	Days      int
@@ -95,35 +97,25 @@ type WANStormReport struct {
 	// Plant outcomes across all sites and days.
 	Brownouts int
 	VMsLost   int
+	VMsSaved  int
 
-	// Federation accounting.
-	JobsMoved    int
+	// The coordinator's federation accounting. Its guard counters,
+	// JobsDoubleRun and SplitBrain, are zero by construction.
+	fleet.Totals
+	Heals        int
 	JobsLanded   int // job IDs that completed a transfer, exactly once
 	JobsInFlight int // job IDs still riding a transfer at campaign end
-	MigratedGB   float64
-	RetransmitGB float64
-	Reroutes     int
-	ChunkDrops   int
-	ChunkCorrupt int
-	Heals        int
-	SitesLost    int
 
-	// Guard counters, zero by construction.
-	JobsDoubleRun int
-	SplitBrain    int
+	// StormBacklogGB is the storm site's deferred backlog left at campaign
+	// end; CompletedAwayGB is the migrated volume the other sites finished
+	// on its behalf.
+	StormBacklogGB  float64
+	CompletedAwayGB float64
 
 	// TrajectoryHash folds every site's recorded frames across all days.
 	TrajectoryHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *WANStormReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -131,80 +123,93 @@ func (r *WANStormReport) String() string {
 	return fmt.Sprintf("wan-storm seed %d: %d sites, %d days (migration %v): %d jobs moved / %d landed / %d in flight, %.1f GB migrated, %.1f GB retransmitted, %d reroutes, %d drops + %d corrupt, %d heals, %d sites lost, double-run %d, split-brain %d, %d violations",
 		r.Seed, r.Sites, r.Days, r.Migration,
 		r.JobsMoved, r.JobsLanded, r.JobsInFlight, r.MigratedGB, r.RetransmitGB,
-		r.Reroutes, r.ChunkDrops, r.ChunkCorrupt, r.Heals, r.SitesLost,
+		r.Reroutes, r.ChunkDrops, r.ChunkCorrupts, r.Heals, r.SitesLost,
 		r.JobsDoubleRun, r.SplitBrain, r.ViolationCount)
 }
 
-// wanStormSites builds the persistent per-site fixture: banks, sinks, and
-// managers that live across days. Both the federated run and the solo
-// byte-identity rerun call this, so the two fleets start identical.
-func wanStormSites(cfg WANStormConfig) ([]*battery.Bank, []fleet.Site, []*core.Manager, error) {
-	banks := make([]*battery.Bank, cfg.Sites)
-	sites := make([]fleet.Site, cfg.Sites)
-	mgrs := make([]*core.Manager, cfg.Sites)
-	for i := range sites {
-		soc := 0.50
+// federation is the campaign's persistent per-site fixture: banks, sinks,
+// and managers that live across days. The federated run, the log audit,
+// and the solo byte-identity rerun each build one, so all start identical.
+type federation struct {
+	cfg   WANStormConfig
+	banks []*battery.Bank
+	sinks []*sim.BatchSink
+	mgrs  []*core.Manager
+	sites []fleet.Site
+}
+
+// newFederation builds the fixture. The storm site starts mid-drought at
+// the dispatch floor and takes a second arrival each afternoon; the others
+// hold a working charge.
+func newFederation(cfg WANStormConfig) (*federation, error) {
+	f := &federation{cfg: cfg}
+	for i := 0; i < cfg.Sites; i++ {
+		soc, arrivals := 0.50, []time.Duration{7 * time.Hour}
 		if i == cfg.StormSite {
-			soc = 0.30
+			soc, arrivals = 0.30, []time.Duration{7 * time.Hour, 13 * time.Hour}
 		}
 		bank, err := battery.NewBank(battery.DefaultParams(), cfg.Batteries, soc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		banks[i] = bank
 		mcfg := core.DefaultConfig()
 		if cfg.Migration {
 			mcfg.Survival = core.DefaultSurvivalConfig()
 		}
-		mgrs[i] = core.New(mcfg, cfg.Batteries)
-		arrivals := []time.Duration{7 * time.Hour}
-		if i == cfg.StormSite {
-			arrivals = []time.Duration{7 * time.Hour, 13 * time.Hour}
+		sink := &sim.BatchSink{
+			Queue:    workload.NewBatchQueue(workload.Seismic()),
+			Arrivals: arrivals,
+			JobGB:    cfg.JobGB,
 		}
-		sites[i] = fleet.Site{
-			Sink: &sim.BatchSink{
-				Queue:    workload.NewBatchQueue(workload.Seismic()),
-				Arrivals: arrivals,
-				JobGB:    cfg.JobGB,
-			},
-			Manager: mgrs[i],
-		}
+		mgr := core.New(mcfg, cfg.Batteries)
+		f.banks = append(f.banks, bank)
+		f.sinks = append(f.sinks, sink)
+		f.mgrs = append(f.mgrs, mgr)
+		f.sites = append(f.sites, fleet.Site{Sink: sink, Manager: mgr})
 	}
-	return banks, sites, mgrs, nil
+	return f, nil
 }
 
-// wanStormDayConfig is the per-day sim config for site i: storm weather
-// over the storm site, per-site sunny lanes elsewhere, banks carried across
-// days.
-func wanStormDayConfig(cfg WANStormConfig, bank *battery.Bank, i, day int) sim.Config {
-	tr := stormDayTrace(cfg.Seed, day)
-	if i != cfg.StormSite {
-		tr = sunnyDayTrace(cfg.Seed, i, day)
+// dayConfig is site i's plant for one day: storm weather over the storm
+// site, per-site sunny seed lanes elsewhere (no two sites share weather),
+// banks carried across days.
+func (f *federation) dayConfig(i, day int) sim.Config {
+	tr := stormDayTrace(f.cfg.Seed, day)
+	if i != f.cfg.StormSite {
+		tr = trace.Synthesize(solar.Sunny, f.cfg.Seed+1000*int64(i+1)+int64(day), time.Second)
 	}
-	scfg := sim.DefaultConfig(tr)
-	scfg.BatteryCount = cfg.Batteries
-	scfg.ServerCount = cfg.Servers
-	scfg.RecordEvery = time.Minute
-	scfg.Bank = bank
-	return scfg
+	return plantConfig(tr, f.cfg.Batteries, f.cfg.Servers, f.banks[i])
 }
 
-// RunWANStorm executes the flaky-WAN federated storm campaign described by
-// cfg. Error returns are harness failures only; invariant breaks are
-// reported in the WANStormReport so a test can print it with its seed.
+// surge is the battery damage site i suffers on day: the storm's surge
+// faults at the storm site, nothing elsewhere.
+func (f *federation) surge(i, day int) faults.Plan {
+	if i != f.cfg.StormSite {
+		return nil
+	}
+	return stormDayFaults(day, f.cfg.Batteries)
+}
+
+// storageHooks mounts the bit-rot storm's storage plane under the
+// federated runner: the migration log's filesystem, the checkpoint-image
+// store, and a callback at every day boundary.
+type storageHooks struct {
+	logFS    journal.FS
+	images   *fleet.ImageStore
+	afterDay func(day int) error
+}
+
+// RunWANStorm executes the federated storm campaign described by cfg.
+// Error returns are harness failures only; invariant breaks are reported
+// in the WANStormReport so a test can print it with its seed.
 func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
-	if cfg.Days < 1 {
-		return nil, fmt.Errorf("chaos: wan-storm campaign needs at least one day")
-	}
-	if cfg.Sites < 2 {
-		return nil, fmt.Errorf("chaos: wan-storm campaign needs at least two sites")
-	}
-	if cfg.StormSite < 0 || cfg.StormSite >= cfg.Sites {
-		return nil, fmt.Errorf("chaos: storm site %d outside the %d-site fleet", cfg.StormSite, cfg.Sites)
-	}
-	partitions := cfg.Partitions
-	if partitions == nil {
-		partitions = defaultPartitions(cfg.StormSite, cfg.Sites)
+	return runFederatedStorm(cfg, storageHooks{})
+}
+
+func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport, error) {
+	if cfg.Days < 1 || cfg.Sites < 2 || cfg.StormSite < 0 || cfg.StormSite >= cfg.Sites || cfg.FailDay >= cfg.Days {
+		return nil, fmt.Errorf("chaos: federated storm needs >= 1 day and >= 2 sites, with StormSite and FailDay inside them: %d days, %d sites, storm site %d, fail day %d",
+			cfg.Days, cfg.Sites, cfg.StormSite, cfg.FailDay)
 	}
 	logDir := cfg.LogDir
 	if logDir == "" {
@@ -215,17 +220,18 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 		defer os.RemoveAll(dir)
 		logDir = dir
 	}
-
-	net, err := wan.New(wan.Config{
-		Seed: cfg.Seed, Sites: cfg.Sites,
-		DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate,
-		Outages: partitions,
-	})
-	if err != nil {
-		return nil, err
+	var net *wan.Network
+	partitions := 0
+	if cfg.WAN != nil {
+		wcfg := *cfg.WAN
+		wcfg.Seed, wcfg.Sites = cfg.Seed, cfg.Sites
+		var err error
+		if net, err = wan.New(wcfg); err != nil {
+			return nil, err
+		}
+		partitions = len(wcfg.Outages)
 	}
-
-	banks, sites, mgrs, err := wanStormSites(cfg)
+	fed, err := newFederation(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -233,8 +239,7 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 	rep := &WANStormReport{
 		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, Migration: cfg.Migration,
 	}
-	const fnvPrime = 1099511628211
-
+	traj := (*digest)(&rep.TrajectoryHash)
 	prevMode := make([]core.OpMode, cfg.Sites)
 	lostSeen := make([]int, cfg.Sites)
 	var curFl *sim.Fleet
@@ -242,50 +247,51 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 		Migration: cfg.Migration,
 		WAN:       net,
 		LogDir:    logDir,
+		LogFS:     hooks.logFS,
+		Images:    hooks.images,
 		Prepare: func(day int, fl *sim.Fleet) {
 			curFl = fl
 			for i := 0; i < cfg.Sites; i++ {
-				i := i
 				sys := fl.System(i)
-				var inj *faults.Injector
-				if i == cfg.StormSite {
-					inj = faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-						Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-					})
-				}
-				prevMode[i] = mgrs[i].Mode()
+				prevMode[i] = fed.mgrs[i].Mode()
 				lostSeen[i] = 0 // fresh cluster each day
-				sys.SetTickHook(func(tod time.Duration) {
-					if inj != nil {
-						inj.Tick(tod)
-					}
-					if cur := mgrs[i].Mode(); cur != prevMode[i] {
+				armFaults(sys, fed.surge(i, day), func(tod time.Duration) {
+					// Ladder adjacency: every transition happens inside a
+					// control pass, so per-tick sampling observes each one.
+					if cur := fed.mgrs[i].Mode(); cur != prevMode[i] {
 						if !core.LadderAdjacent(prevMode[i], cur) {
-							rep.violate("day %d site %d: illegal ladder move %s -> %s at %v",
+							rep.violate("ladder-adjacent", "day %d site %d: illegal ladder move %s -> %s at %v",
 								day, i, prevMode[i], cur, tod)
 						}
 						prevMode[i] = cur
 					}
-					if cfg.Migration {
-						if l := sys.Cluster.VMsLost(); l > lostSeen[i] {
-							rep.violate("day %d site %d: %d VMs lost uncheckpointed at %v",
-								day, i, l-lostSeen[i], tod)
-							lostSeen[i] = l
-						}
+					// The federated emergency contract: no VM state lost to a
+					// power cut anywhere in the fleet while migration (and with
+					// it the survivability ladder) is armed.
+					if l := sys.Cluster.VMsLost(); cfg.Migration && l > lostSeen[i] {
+						rep.violate("no-vms-lost", "day %d site %d: %d VMs lost uncheckpointed at %v",
+							day, i, l-lostSeen[i], tod)
+						lostSeen[i] = l
 					}
 				})
 			}
 		},
-	}, sites)
+	}, fed.sites)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
+	if cfg.FailDay >= 0 {
+		if err := c.ScheduleSiteFailure(cfg.FailDay, 15*time.Hour, cfg.StormSite); err != nil {
+			return nil, err
+		}
+	}
 
+	failedSiteLost := 0
 	for day := 0; day < cfg.Days; day++ {
 		cfgs := make([]sim.Config, cfg.Sites)
 		for i := range cfgs {
-			cfgs[i] = wanStormDayConfig(cfg, banks[i], i, day)
+			cfgs[i] = fed.dayConfig(i, day)
 		}
 		res, err := c.RunDay(cfgs)
 		if err != nil {
@@ -294,54 +300,142 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 		for i, r := range res {
 			rep.Brownouts += r.Brownouts
 			rep.VMsLost += r.VMsLost
-			rep.TrajectoryHash = rep.TrajectoryHash*fnvPrime ^ hashFrames(curFl.System(i).Recorder().Frames())
+			rep.VMsSaved += r.VMsSaved
+			if i == cfg.StormSite && day == cfg.FailDay {
+				// A hard-failed site crashes with its in-flight VMs by
+				// definition — that is the disposability bargain, not a
+				// survivability breach.
+				failedSiteLost += r.VMsLost
+			}
+			traj.chain(hashFrames(curFl.System(i).Recorder().Frames()))
+		}
+		if hooks.afterDay != nil {
+			if err := hooks.afterDay(day); err != nil {
+				return nil, err
+			}
 		}
 	}
 
 	frep := c.Report()
-	tot := frep.Totals
-	rep.JobsMoved = tot.JobsMoved
-	rep.MigratedGB = tot.MigratedGB
-	rep.RetransmitGB = tot.RetransmitGB
-	rep.Reroutes = tot.Reroutes
-	rep.ChunkDrops = tot.ChunkDrops
-	rep.ChunkCorrupt = tot.ChunkCorrupts
+	rep.Totals = frep.Totals
 	rep.Heals = frep.Heals
-	rep.SitesLost = tot.SitesLost
-	rep.JobsDoubleRun = tot.JobsDoubleRun
-	rep.SplitBrain = tot.SplitBrain
+	rep.StormBacklogGB = frep.Sites[cfg.StormSite].PendingGB
+	for i, s := range frep.Sites {
+		if i != cfg.StormSite {
+			rep.CompletedAwayGB += s.MigratedCompletedGB
+		}
+	}
 
 	// --- Invariants ------------------------------------------------------
 
-	// Guard counters are zero by construction; any value is a breach.
-	if tot.JobsDoubleRun != 0 {
-		rep.violate("%d job IDs landed twice", tot.JobsDoubleRun)
+	if rep.JobsDoubleRun != 0 {
+		rep.violate("no-double-run", "%d job IDs landed twice", rep.JobsDoubleRun)
 	}
-	if tot.SplitBrain != 0 {
-		rep.violate("%d jobs entered a transfer while in flight or landed", tot.SplitBrain)
+	if rep.SplitBrain != 0 {
+		rep.violate("no-split-brain", "%d jobs entered a transfer while in flight or landed", rep.SplitBrain)
 	}
-	// No partition here outlasts the 8-hour lease: a declared death would
-	// mean the detector confused a partition with a loss — split-brain's
-	// front door.
-	if tot.SitesLost != 0 {
-		rep.violate("%d sites declared dead with no site ever failing", tot.SitesLost)
+	// Only the scheduled failure may kill a site. No partition here
+	// outlasts the 8-hour lease: any other declared death means the
+	// detector confused a partition with a loss — split-brain's front door.
+	scheduled := 0
+	if cfg.FailDay >= 0 {
+		scheduled = 1
+	}
+	if rep.SitesLost != scheduled {
+		rep.violate("no-unscheduled-death", "%d sites declared dead, %d failure scheduled", rep.SitesLost, scheduled)
 	}
 	// Every scheduled partition must end in a heal: the suspected site
 	// heartbeats again and rejoins without accounting damage.
-	if frep.Heals < len(partitions) {
-		rep.violate("%d partitions scheduled but only %d heals observed", len(partitions), frep.Heals)
+	if rep.Heals < partitions {
+		rep.violate("partitions-heal", "%d partitions scheduled but only %d heals observed", partitions, rep.Heals)
+	}
+	if err := auditLog(rep, logDir, scheduled > 0); err != nil {
+		return nil, err
+	}
+	if cfg.Migration {
+		if lost := rep.VMsLost - failedSiteLost; lost > 0 {
+			rep.violate("no-vms-lost", "federated storm lost %d VMs with migration armed", lost)
+		}
+		if rep.MigratedGB <= 0 {
+			rep.violate("evacuated", "storm site migrated nothing off-site")
+		}
+		// Only the WAN's chunked transfers journal per-job manifests.
+		if cfg.WAN != nil && rep.JobsLanded == 0 {
+			rep.violate("landed", "no migrated job ever landed across the lossy WAN")
+		}
+		if cfg.WAN != nil && cfg.WAN.DropRate > 0 && rep.ChunkDrops == 0 {
+			rep.violate("wan-lossy", "%.0f%% drop rate produced zero chunk drops", 100*cfg.WAN.DropRate)
+		}
+		if rep.ChunkDrops+rep.ChunkCorrupts > 0 && rep.RetransmitGB <= 0 {
+			rep.violate("retransmitted", "chunk losses produced zero retransmitted bytes")
+		}
+		if cfg.FailDay < 0 {
+			if rep.StormBacklogGB > 0 {
+				rep.violate("backlog-drained", "storm site finished the campaign holding %.1f GB deferred", rep.StormBacklogGB)
+			}
+			// The storm site's deferred work must actually complete —
+			// locally or at the surplus sites — not just move around.
+			// MigratedGB is not the yardstick (a bundle re-shipped under
+			// deadline pressure counts twice); the site's arrival total is.
+			// One in-progress tail job is allowed at cut-off.
+			sink := fed.sinks[cfg.StormSite]
+			arrivedGB := float64(cfg.Days*len(sink.Arrivals)) * cfg.JobGB
+			if done := rep.CompletedAwayGB + sink.ProcessedGB(); done < arrivedGB-cfg.JobGB {
+				rep.violate("work-completed", "only %.1f of %.1f arrived GB completed (%.1f away, %.1f locally)",
+					done, arrivedGB, rep.CompletedAwayGB, sink.ProcessedGB())
+			}
+		}
 	}
 
-	// Exactly-once, from the log alone: walk the migration log like an
-	// auditor who never saw the live coordinator. At every moment a job is
-	// in exactly one place — riding one transfer or resident at one site.
-	// Re-migration (land, then leave on a later transfer) is legitimate;
-	// being in two open transfers, or landing while already resident, is a
-	// breach. At campaign end every job that ever entered a transfer must
-	// be resident somewhere or still in flight — never vanished.
-	records, err := fleet.ReplayLog(logDir)
+	// Reconcile after heal: a fresh coordinator recovered from the log
+	// alone — over the same filesystem — must agree with the live one
+	// exactly: the log is the single source of truth, and replaying it is
+	// idempotent.
+	if err := c.Close(); err != nil {
+		return nil, err
+	}
+	auditFed, err := newFederation(cfg)
 	if err != nil {
 		return nil, err
+	}
+	audit, err := fleet.New(fleet.Config{
+		Migration: cfg.Migration, WAN: net, LogDir: logDir, LogFS: hooks.logFS,
+	}, auditFed.sites)
+	if err != nil {
+		return nil, err
+	}
+	defer audit.Close()
+	if got := audit.Totals(); !reflect.DeepEqual(got, rep.Totals) {
+		rep.violate("log-reconciles", "log replay does not reconcile with live totals:\n replay: %+v\n   live: %+v", got, rep.Totals)
+	}
+
+	// With migration off (and no site failing) the coordinator is a pure
+	// observer: every plant must match its solo run bit for bit.
+	if !cfg.Migration && cfg.FailDay < 0 {
+		solo, err := soloHash(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if solo != rep.TrajectoryHash {
+			rep.violate("solo-identical", "observer fleet diverged from solo runs: %#x != %#x", rep.TrajectoryHash, solo)
+		}
+	}
+	return rep, nil
+}
+
+// auditLog checks exactly-once from the migration log alone, like an
+// auditor who never saw the live coordinator. At every moment a job is in
+// exactly one place — riding one transfer or resident at one site.
+// Re-migration (land, then leave on a later transfer) is legitimate; being
+// in two open transfers, or landing while already resident, is a breach.
+// A transfer aborts only when its source died, taking its jobs with it,
+// which is legitimate only under a scheduled failure. Every other job that
+// ever entered a transfer must end resident somewhere or still in flight —
+// never vanished.
+func auditLog(rep *WANStormReport, logDir string, deathScheduled bool) error {
+	records, err := fleet.ReplayLog(logDir)
+	if err != nil {
+		return err
 	}
 	manifests := map[uint64][]fleet.JobRef{}
 	inOpenXfer := map[uint64]bool{}
@@ -354,7 +448,7 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 			for _, ref := range r.Manifest {
 				entered[ref.ID] = true
 				if inOpenXfer[ref.ID] {
-					rep.violate("job %#x entered transfer %d while already in flight", ref.ID, r.Xfer)
+					rep.violate("one-place", "job %#x entered transfer %d while already in flight", ref.ID, r.Xfer)
 				}
 				inOpenXfer[ref.ID] = true
 				delete(resident, ref.ID) // leaving its site
@@ -362,16 +456,19 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 		case fleet.RecXferDone:
 			for _, ref := range manifests[r.Xfer] {
 				if resident[ref.ID] {
-					rep.violate("job %#x landed while already resident", ref.ID)
+					rep.violate("one-place", "job %#x landed while already resident", ref.ID)
 				}
 				delete(inOpenXfer, ref.ID)
 				resident[ref.ID] = true
 			}
 		case fleet.RecXferAbort:
+			if !deathScheduled {
+				rep.violate("no-abort", "transfer %d aborted with no site death scheduled", r.Xfer)
+			}
 			for _, ref := range manifests[r.Xfer] {
 				delete(inOpenXfer, ref.ID)
+				delete(entered, ref.ID) // died with its source site
 			}
-			rep.violate("transfer %d aborted with no site death scheduled", r.Xfer)
 		}
 	}
 	for id := range entered {
@@ -381,98 +478,35 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 		case inOpenXfer[id]:
 			rep.JobsInFlight++
 		default:
-			rep.violate("job %#x entered a transfer and vanished from the log", id)
+			rep.violate("none-vanished", "job %#x entered a transfer and vanished from the log", id)
 		}
 	}
-	if cfg.Migration {
-		if rep.MigratedGB <= 0 {
-			rep.violate("storm site migrated nothing across the WAN")
-		}
-		if rep.JobsLanded == 0 {
-			rep.violate("no migrated job ever landed across the lossy WAN")
-		}
-		if cfg.DropRate > 0 && rep.ChunkDrops == 0 {
-			rep.violate("%.0f%% drop rate produced zero chunk drops", 100*cfg.DropRate)
-		}
-		if rep.ChunkDrops+rep.ChunkCorrupt > 0 && rep.RetransmitGB <= 0 {
-			rep.violate("chunk losses produced zero retransmitted bytes")
-		}
-	}
-
-	// Reconcile after heal: a fresh coordinator recovered from the log
-	// alone must agree with the live one exactly — the log is the single
-	// source of truth, and replaying it is idempotent.
-	if err := c.Close(); err != nil {
-		return nil, err
-	}
-	_, auditSites, _, err := wanStormSites(cfg)
-	if err != nil {
-		return nil, err
-	}
-	audit, err := fleet.New(fleet.Config{Migration: cfg.Migration, WAN: net, LogDir: logDir}, auditSites)
-	if err != nil {
-		return nil, err
-	}
-	defer audit.Close()
-	if got := audit.Totals(); !reflect.DeepEqual(got, tot) {
-		rep.violate("log replay does not reconcile with live totals:\n replay: %+v\n   live: %+v", got, tot)
-	}
-
-	// With migration off the coordinator is a pure observer: re-run every
-	// site solo on the same fixture and demand bit-identical trajectories.
-	if !cfg.Migration {
-		soloHash, err := wanStormSoloHash(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if soloHash != rep.TrajectoryHash {
-			rep.violate("WAN observer fleet diverged from solo runs: %#x != %#x",
-				rep.TrajectoryHash, soloHash)
-		}
-	}
-	return rep, nil
+	return nil
 }
 
-// wanStormSoloHash runs every site of the campaign fixture alone — no
-// coordinator, no WAN — and folds the same trajectory hash RunWANStorm
-// computes, in the same site-major order.
-func wanStormSoloHash(cfg WANStormConfig) (uint64, error) {
-	banks, sites, mgrs, err := wanStormSites(cfg)
+// soloHash runs every site of the campaign fixture alone — no coordinator,
+// no WAN — and folds the same trajectory hash the federated run computes,
+// in the same day-major order (sites share nothing, so interleaving their
+// days is safe).
+func soloHash(cfg WANStormConfig) (uint64, error) {
+	fed, err := newFederation(cfg)
 	if err != nil {
 		return 0, err
 	}
-	const fnvPrime = 1099511628211
-	var hash uint64
-	perDay := make([][]uint64, cfg.Days)
-	for d := range perDay {
-		perDay[d] = make([]uint64, cfg.Sites)
-	}
-	for i := 0; i < cfg.Sites; i++ {
-		for day := 0; day < cfg.Days; day++ {
+	var h digest
+	for day := 0; day < cfg.Days; day++ {
+		for i, sink := range fed.sinks {
 			if day > 0 {
-				if r, ok := sites[i].Sink.(interface{ Rollover() }); ok {
-					r.Rollover()
-				}
+				sink.Rollover()
 			}
-			scfg := wanStormDayConfig(cfg, banks[i], i, day)
-			sys, err := sim.New(scfg, sites[i].Sink)
+			sys, err := sim.New(fed.dayConfig(i, day), sink)
 			if err != nil {
 				return 0, err
 			}
-			if i == cfg.StormSite {
-				inj := faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-					Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-				})
-				sys.SetTickHook(func(tod time.Duration) { inj.Tick(tod) })
-			}
-			sys.Run(mgrs[i])
-			perDay[day][i] = hashFrames(sys.Recorder().Frames())
+			armFaults(sys, fed.surge(i, day), nil)
+			sys.Run(fed.mgrs[i])
+			h.chain(hashFrames(sys.Recorder().Frames()))
 		}
 	}
-	for day := 0; day < cfg.Days; day++ {
-		for i := 0; i < cfg.Sites; i++ {
-			hash = hash*fnvPrime ^ perDay[day][i]
-		}
-	}
-	return hash, nil
+	return uint64(h), nil
 }

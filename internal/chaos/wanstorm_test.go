@@ -93,7 +93,7 @@ func TestWANStormPartitionOutlastingLeaseIsDeath(t *testing.T) {
 	cfg := DefaultWANStormConfig(604)
 	cfg.Migration = true
 	cfg.Days = 1
-	cfg.Partitions = []wan.Outage{
+	cfg.WAN.Outages = []wan.Outage{
 		{Site: 1, Day: 0, From: 9 * time.Hour, To: 23 * time.Hour},
 	}
 	rep, err := RunWANStorm(cfg)

@@ -12,9 +12,9 @@
 //
 // # Seeding
 //
-// The package follows the internal/chaos seeding contract:
+// The package follows the seeding contract documented in internal/seed:
 //
-//   - Per-operation fates are stateless hashes (SplitMix64, the same
+//   - Per-operation fates are stateless hashes (seed.Mix64, the same
 //     finalizer as wan.ChunkFate) of (seed, path, op, per-path op count).
 //     No PRNG stream survives between draws, so the same seed over the
 //     same operation sequence injects bit-identical faults.
@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"insure/internal/journal"
+	"insure/internal/seed"
 )
 
 // op salts keep each fault kind's hash lane disjoint.
@@ -154,15 +155,6 @@ func (f *FS) rel(name string) string {
 	return filepath.ToSlash(r)
 }
 
-// mix64 is the SplitMix64 finalizer — the same stateless hash the WAN
-// layer uses for chunk fates.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 func pathHash(rel string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(rel))
@@ -175,7 +167,7 @@ func (f *FS) draw(rel string, op uint64) uint64 {
 	k := opKey{rel: rel, op: op}
 	n := f.ops[k]
 	f.ops[k] = n + 1
-	return mix64(uint64(f.cfg.Seed) ^ mix64(pathHash(rel)^op) ^ n)
+	return seed.Mix64(uint64(f.cfg.Seed) ^ seed.Mix64(pathHash(rel)^op) ^ n)
 }
 
 // frac maps a hash to [0,1).
@@ -212,12 +204,12 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 	// the first non-empty read of a decayed generation and reused for the
 	// life of the generation, so later appends don't move the flipped bit.
 	if f.cfg.BitRot > 0 && len(b) > 0 {
-		h := mix64(uint64(f.cfg.Seed) ^ mix64(pathHash(rel)^opRot) ^ f.gen[rel])
+		h := seed.Mix64(uint64(f.cfg.Seed) ^ seed.Mix64(pathHash(rel)^opRot) ^ f.gen[rel])
 		if frac(h) < f.cfg.BitRot {
 			rk := rotKey{rel: rel, gen: f.gen[rel]}
 			pos, pinned := f.rotPos[rk]
 			if !pinned {
-				pos = mix64(h) % (uint64(len(b)) * 8)
+				pos = seed.Mix64(h) % (uint64(len(b)) * 8)
 				f.rotPos[rk] = pos
 				f.stats.RotFlips++
 			}
@@ -231,7 +223,7 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 		h := f.draw(rel, opRead)
 		if frac(h) < f.cfg.ShortRead {
 			f.stats.ShortReads++
-			b = b[:mix64(h)%uint64(len(b))]
+			b = b[:seed.Mix64(h)%uint64(len(b))]
 		}
 	}
 	return b, nil
@@ -297,7 +289,7 @@ func (w *file) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("diskfault: write failed: no space left on device (%s)", w.rel)
 	case roll < fs.cfg.WriteFail+fs.cfg.TornWrite && len(p) > 0:
 		fs.stats.TornWrites++
-		keep := int(mix64(h) % uint64(len(p)))
+		keep := int(seed.Mix64(h) % uint64(len(p)))
 		fs.mu.Unlock()
 		if keep > 0 {
 			if _, err := w.File.Write(p[:keep]); err != nil {

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 
 	"insure/internal/journal"
+	"insure/internal/seed"
 )
 
 // ImageStats counts image-store events.
@@ -69,16 +70,11 @@ const imagePayloadBytes = 1024
 
 // imagePayload derives the stand-in image body from the transfer ID alone,
 // so a resumed coordinator re-landing the same transfer writes identical
-// bytes (SplitMix64 stream, matching the chaos layers' seeding style).
+// bytes (the SplitMix64 stream seeded at the transfer ID).
 func imagePayload(xfer uint64) []byte {
 	b := make([]byte, imagePayloadBytes)
-	x := xfer
 	for i := 0; i+8 <= len(b); i += 8 {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		binary.LittleEndian.PutUint64(b[i:], z^(z>>31))
+		binary.LittleEndian.PutUint64(b[i:], seed.Mix64(xfer+uint64(i/8)*seed.Gamma))
 	}
 	return b
 }

@@ -14,8 +14,8 @@
 // solo. A transfer between two sites sees the worse of its endpoints'
 // links.
 //
-// Determinism contract (shared with internal/chaos — see that package's
-// "Seeding contract" section):
+// Determinism contract (the "Seeding contract" documented in
+// internal/seed):
 //
 //   - All *scheduled* randomness (outage windows, bandwidth-collapse
 //     windows) is drawn up front by PlanOutages (collapse windows use the
@@ -35,6 +35,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"insure/internal/seed"
 )
 
 // Fate is the outcome of one chunk transmission attempt.
@@ -202,10 +204,10 @@ func (n *Network) ChunkFate(a, b int, xfer uint64, chunk, attempt int) Fate {
 	if n.cfg.DropRate <= 0 && n.cfg.CorruptRate <= 0 {
 		return Delivered
 	}
-	h := mix64(uint64(n.cfg.Seed))
-	h = mix64(h ^ uint64(a)<<32 ^ uint64(b))
-	h = mix64(h ^ xfer)
-	h = mix64(h ^ uint64(chunk)<<20 ^ uint64(attempt))
+	h := seed.Mix64(uint64(n.cfg.Seed))
+	h = seed.Mix64(h ^ uint64(a)<<32 ^ uint64(b))
+	h = seed.Mix64(h ^ xfer)
+	h = seed.Mix64(h ^ uint64(chunk)<<20 ^ uint64(attempt))
 	// 53-bit mantissa → uniform in [0,1).
 	u := float64(h>>11) / (1 << 53)
 	switch {
@@ -216,15 +218,6 @@ func (n *Network) ChunkFate(a, b int, xfer uint64, chunk, attempt int) Fate {
 	default:
 		return Delivered
 	}
-}
-
-// mix64 is the SplitMix64 finalizer — a cheap, well-distributed 64-bit
-// mixer, the same construction the stdlib uses to seed PRNG streams.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // PlanOutages draws perDay outage windows per day across the fleet from

@@ -13,6 +13,10 @@ import (
 
 const batchQueueStateVersion = 1
 
+// jobStateBytes is the encoded size of one job: five 8-byte fields, a
+// bool byte, and the 8-byte origin.
+const jobStateBytes = 49
+
 // AppendJobState serializes one job; DecodeJobState reads it back. The
 // fleet layer also uses the pair for in-flight migrated jobs riding sink
 // snapshots.
@@ -66,24 +70,32 @@ func (q *BatchQueue) RestoreState(d *journal.Decoder) error {
 	q.idBase = d.U64()
 	q.idSeq = d.U64()
 	q.processed = d.F64()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("workload: corrupt batch queue state: %w", err)
+	var err error
+	if q.pending, err = decodeJobs(d, q.pending[:0]); err != nil {
+		return err
 	}
-	q.pending = q.pending[:0]
-	for i := 0; i < n; i++ {
-		q.pending = append(q.pending, decodeJob(d))
-	}
-	n = d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("workload: corrupt batch queue state: %w", err)
-	}
-	q.completed = q.completed[:0]
-	for i := 0; i < n; i++ {
-		q.completed = append(q.completed, decodeJob(d))
-	}
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("workload: corrupt batch queue state: %w", err)
+	if q.completed, err = decodeJobs(d, q.completed[:0]); err != nil {
+		return err
 	}
 	return nil
+}
+
+// decodeJobs reads a job count and that many jobs onto dst. A count the
+// rest of the payload cannot hold is rejected before any job is decoded,
+// so a hostile or garbled count can neither spin nor exhaust memory.
+func decodeJobs(d *journal.Decoder, dst []*Job) ([]*Job, error) {
+	n := d.Int()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("workload: corrupt batch queue state: %w", err)
+	}
+	if n < 0 || n > d.Remaining()/jobStateBytes {
+		return nil, fmt.Errorf("workload: corrupt batch queue state: %d jobs in %d bytes", n, d.Remaining())
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, decodeJob(d))
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("workload: corrupt batch queue state: %w", err)
+	}
+	return dst, nil
 }
