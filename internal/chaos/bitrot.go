@@ -70,10 +70,16 @@ type BitrotStormConfig struct {
 	// are set by the harness).
 	StateFaults diskfault.Config
 
-	// Fleet lane: the federated storm campaign, evacuating checkpoints
-	// onto a decaying disk with fault mix FleetFaults. The harness sets
-	// the campaign's Seed, Days, and LogDir.
-	Fleet       WANStormConfig
+	// Fleet lane: a Sites-site federation under the usual storm weather,
+	// evacuating checkpoints over a lossy WAN onto a decaying disk.
+	Sites     int
+	StormSite int
+	Batteries int
+	Servers   int
+	JobGB     float64
+	// DropRate/CorruptRate shape the WAN; FleetFaults the fleet disk.
+	DropRate    float64
+	CorruptRate float64
 	FleetFaults diskfault.Config
 
 	// StateDir/FleetDir override the private temp directories.
@@ -86,9 +92,6 @@ type BitrotStormConfig struct {
 // failed writes, at-rest decay on both lanes, and a three-site fleet
 // shipping checkpoints across a 15%-drop WAN onto the decaying disk.
 func DefaultBitrotStormConfig(seed int64) BitrotStormConfig {
-	fl := DefaultWANStormConfig(seed)
-	fl.Migration = true
-	fl.WAN = &wan.Config{DropRate: 0.15, CorruptRate: 0.03}
 	return BitrotStormConfig{
 		Seed:          seed,
 		Days:          3,
@@ -102,7 +105,12 @@ func DefaultBitrotStormConfig(seed int64) BitrotStormConfig {
 			BitRot:     0.03,
 			LoseRename: 0.03,
 		},
-		Fleet: fl,
+		Sites:     3,
+		StormSite: 0,
+		Batteries: 6,
+		Servers:   4,
+		JobGB:     40,
+		DropRate:  0.15, CorruptRate: 0.03,
 		// The fleet lane's file population is small (one migration-log
 		// pair plus a handful of image pairs), so the at-rest decay rate
 		// runs hot to make every storm meet it; the mirror of each pair
@@ -238,11 +246,8 @@ func (s *bitrotState) decode(b []byte) (int, uint64, error) {
 // Error returns are harness failures only; invariant breaks are reported
 // in the BitrotStormReport so a test can print it with its seed.
 func RunBitrotStorm(cfg BitrotStormConfig) (*BitrotStormReport, error) {
-	if cfg.Days < 1 {
-		return nil, fmt.Errorf("chaos: bitrot storm needs at least one day")
-	}
-	if cfg.TicksPerDay < 2*cfg.SnapshotEvery || cfg.SnapshotEvery < 8 {
-		return nil, fmt.Errorf("chaos: bitrot storm needs TicksPerDay >= 2*SnapshotEvery and SnapshotEvery >= 8")
+	if cfg.Days < 1 || cfg.TicksPerDay < 2*cfg.SnapshotEvery || cfg.SnapshotEvery < 8 {
+		return nil, fmt.Errorf("chaos: bitrot storm needs Days >= 1, TicksPerDay >= 2*SnapshotEvery and SnapshotEvery >= 8")
 	}
 	rep := &BitrotStormReport{Seed: cfg.Seed, Days: cfg.Days}
 
@@ -502,9 +507,12 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 		return err
 	}
 
-	fl := cfg.Fleet
-	fl.Seed, fl.Days, fl.LogDir = cfg.Seed, cfg.Days, logDir
-	frep, err := runFederatedStorm(fl, storageHooks{logFS: fsys, images: images, afterDay: func(day int) error {
+	frep, err := runFederatedStorm(WANStormConfig{
+		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, StormSite: cfg.StormSite,
+		Batteries: cfg.Batteries, Servers: cfg.Servers, Migration: true, JobGB: cfg.JobGB,
+		WAN:     &wan.Config{DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate},
+		FailDay: -1, LogDir: logDir,
+	}, storageHooks{logFS: fsys, images: images, afterDay: func(day int) error {
 		// Day-boundary scrub: one recursive sweep repairs decayed mirror
 		// copies across the log pair, the sealed segments, and every
 		// landed checkpoint-image pair.

@@ -102,11 +102,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	start, end := refSys.Span()
-	for tod := start; tod < end; tod += time.Second {
-		refSys.Tick(tod, refMgr)
-	}
-	refRes := refSys.Finish(refMgr)
+	refRes := refSys.Run(refMgr)
 
 	// Chaos day.
 	sys, mgr, brownTicks, err := newWorld(cfg, faultPlan, func(sys *sim.System, tod time.Duration) {
@@ -157,6 +153,7 @@ func Run(cfg Config) (*Report, error) {
 	var killTimes []time.Duration
 	healAt := time.Duration(-1)
 	next := 0
+	start, end := sys.Span()
 	for tod := start; tod < end; tod += time.Second {
 		if healAt >= 0 && tod >= healAt {
 			proxy.SetPartition(false)

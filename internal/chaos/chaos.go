@@ -325,6 +325,30 @@ func armFaults(sys *sim.System, plan faults.Plan, probe func(time.Duration)) {
 	})
 }
 
+// emergencyWatch checks one plant-day's emergency contract tick by tick:
+// every ladder move is between adjacent rungs (moves happen only inside a
+// control pass, so per-tick sampling sees each one), and, with noLoss
+// set, no VM state is ever lost to a power cut.
+type emergencyWatch struct {
+	where  string // the plant-day, prefixed to every violation
+	mode   core.OpMode
+	lost   int
+	noLoss bool
+}
+
+func (w *emergencyWatch) check(v *verdict, mode core.OpMode, sys *sim.System, tod time.Duration) {
+	if mode != w.mode {
+		if !core.LadderAdjacent(w.mode, mode) {
+			v.violate("ladder-adjacent", "%s: illegal ladder move %s -> %s at %v", w.where, w.mode, mode, tod)
+		}
+		w.mode = mode
+	}
+	if l := sys.Cluster.VMsLost(); w.noLoss && l > w.lost {
+		v.violate("no-vms-lost", "%s: %d VMs lost uncheckpointed at %v", w.where, l-w.lost, tod)
+		w.lost = l
+	}
+}
+
 // plantConfig is one day of a prototype plant on tr, recording every
 // minute. A non-nil bank carries its charge across days.
 func plantConfig(tr *trace.Trace, batteries, servers int, bank *battery.Bank) sim.Config {

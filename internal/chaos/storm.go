@@ -228,8 +228,7 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 		armFaults(sys, stormDayFaults(day, cfg.Batteries), nil)
 
 		start, end := sys.Span()
-		prevMode := ctl.mgr.Mode()
-		lostSeen := 0
+		watch := emergencyWatch{where: fmt.Sprintf("day %d", day), mode: ctl.mgr.Mode(), noLoss: cfg.Survival}
 		killNext := false
 		for tod := start; tod < end; tod += time.Second {
 			if killNext && !killed {
@@ -245,27 +244,13 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 				if ctl.mgr.Mode() != modeBefore {
 					rep.violate("recovery-rung", "recovery landed in rung %s, controller died in %s", ctl.mgr.Mode(), modeBefore)
 				}
-				prevMode = ctl.mgr.Mode()
+				watch.mode = ctl.mgr.Mode()
 			}
 
 			sys.Tick(tod, drive)
-
-			// Ladder adjacency: transitions only happen inside a control
-			// pass, so sampling every tick observes each one.
-			if cur := ctl.mgr.Mode(); cur != prevMode {
-				if !core.LadderAdjacent(prevMode, cur) {
-					rep.violate("ladder-adjacent", "day %d: illegal ladder move %s -> %s at %v", day, prevMode, cur, tod)
-				}
-				prevMode = cur
-			}
-			// The emergency contract: no VM state is ever lost to a power
-			// cut while the survivability layer is on duty.
-			if cfg.Survival {
-				if l := sys.Cluster.VMsLost(); l > lostSeen {
-					rep.violate("no-vms-lost", "day %d: %d VMs lost uncheckpointed at %v", day, l-lostSeen, tod)
-					lostSeen = l
-				}
-			}
+			// The emergency contract holds while the survivability layer
+			// is on duty.
+			watch.check(&rep.verdict, ctl.mgr.Mode(), sys, tod)
 
 			if kill && !killed && day == cfg.KillDay &&
 				ctl.mgr.Mode() >= core.ModeConservative && tod%period == 0 {

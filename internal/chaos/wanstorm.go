@@ -174,10 +174,10 @@ func newFederation(cfg WANStormConfig) (*federation, error) {
 // site, per-site sunny seed lanes elsewhere (no two sites share weather),
 // banks carried across days.
 func (f *federation) dayConfig(i, day int) sim.Config {
-	tr := stormDayTrace(f.cfg.Seed, day)
-	if i != f.cfg.StormSite {
-		tr = trace.Synthesize(solar.Sunny, f.cfg.Seed+1000*int64(i+1)+int64(day), time.Second)
+	if i == f.cfg.StormSite {
+		return plantConfig(stormDayTrace(f.cfg.Seed, day), f.cfg.Batteries, f.cfg.Servers, f.banks[i])
 	}
+	tr := trace.Synthesize(solar.Sunny, f.cfg.Seed+1000*int64(i+1)+int64(day), time.Second)
 	return plantConfig(tr, f.cfg.Batteries, f.cfg.Servers, f.banks[i])
 }
 
@@ -240,8 +240,6 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, Migration: cfg.Migration,
 	}
 	traj := (*digest)(&rep.TrajectoryHash)
-	prevMode := make([]core.OpMode, cfg.Sites)
-	lostSeen := make([]int, cfg.Sites)
 	var curFl *sim.Fleet
 	c, err := fleet.New(fleet.Config{
 		Migration: cfg.Migration,
@@ -252,27 +250,14 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 		Prepare: func(day int, fl *sim.Fleet) {
 			curFl = fl
 			for i := 0; i < cfg.Sites; i++ {
+				// The federated emergency contract holds at every site
+				// while migration (and with it the survivability ladder)
+				// is armed.
 				sys := fl.System(i)
-				prevMode[i] = fed.mgrs[i].Mode()
-				lostSeen[i] = 0 // fresh cluster each day
+				watch := &emergencyWatch{where: fmt.Sprintf("day %d site %d", day, i),
+					mode: fed.mgrs[i].Mode(), noLoss: cfg.Migration}
 				armFaults(sys, fed.surge(i, day), func(tod time.Duration) {
-					// Ladder adjacency: every transition happens inside a
-					// control pass, so per-tick sampling observes each one.
-					if cur := fed.mgrs[i].Mode(); cur != prevMode[i] {
-						if !core.LadderAdjacent(prevMode[i], cur) {
-							rep.violate("ladder-adjacent", "day %d site %d: illegal ladder move %s -> %s at %v",
-								day, i, prevMode[i], cur, tod)
-						}
-						prevMode[i] = cur
-					}
-					// The federated emergency contract: no VM state lost to a
-					// power cut anywhere in the fleet while migration (and with
-					// it the survivability ladder) is armed.
-					if l := sys.Cluster.VMsLost(); cfg.Migration && l > lostSeen[i] {
-						rep.violate("no-vms-lost", "day %d site %d: %d VMs lost uncheckpointed at %v",
-							day, i, l-lostSeen[i], tod)
-						lostSeen[i] = l
-					}
+					watch.check(&rep.verdict, fed.mgrs[i].Mode(), sys, tod)
 				})
 			}
 		},
