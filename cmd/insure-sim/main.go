@@ -114,7 +114,7 @@ func main() {
 			days = 1
 		}
 		fcfg := chaos.DefaultWANStormConfig(*seed)
-		fcfg.WAN = nil // ideal cross-site links
+		fcfg.DropRate, fcfg.CorruptRate = 0, 0 // ideal cross-site links
 		fcfg.Days = days
 		fcfg.Sites = *fleetSize
 		fcfg.StormSite = *stormSite

@@ -246,8 +246,11 @@ func (s *bitrotState) decode(b []byte) (int, uint64, error) {
 // Error returns are harness failures only; invariant breaks are reported
 // in the BitrotStormReport so a test can print it with its seed.
 func RunBitrotStorm(cfg BitrotStormConfig) (*BitrotStormReport, error) {
-	if cfg.Days < 1 || cfg.TicksPerDay < 2*cfg.SnapshotEvery || cfg.SnapshotEvery < 8 {
-		return nil, fmt.Errorf("chaos: bitrot storm needs Days >= 1, TicksPerDay >= 2*SnapshotEvery and SnapshotEvery >= 8")
+	if cfg.Days < 1 {
+		return nil, fmt.Errorf("chaos: bitrot storm needs at least one day")
+	}
+	if cfg.TicksPerDay < 2*cfg.SnapshotEvery || cfg.SnapshotEvery < 8 {
+		return nil, fmt.Errorf("chaos: bitrot storm needs TicksPerDay >= 2*SnapshotEvery and SnapshotEvery >= 8")
 	}
 	rep := &BitrotStormReport{Seed: cfg.Seed, Days: cfg.Days}
 
@@ -484,8 +487,9 @@ func (rep *BitrotStormReport) scrub(fsys journal.FS, dir, label string) error {
 // checkpoint-image store both mounted on a decaying filesystem and a scrub
 // at every day boundary. The trough-day surge is what drives the ladder
 // down far enough to checkpoint VMs and ship their images across the
-// decaying store; the federated run audits the log replay through the
-// same rot, where the mirrored pairs must mask every flipped bit.
+// decaying store; the federated run's exactly-once audit and its
+// reconciling coordinator both replay the log through the same rot, where
+// the mirrored pairs must mask every flipped bit.
 func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	dir := cfg.FleetDir
 	if dir == "" {
@@ -510,8 +514,9 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	frep, err := runFederatedStorm(WANStormConfig{
 		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, StormSite: cfg.StormSite,
 		Batteries: cfg.Batteries, Servers: cfg.Servers, Migration: true, JobGB: cfg.JobGB,
-		WAN:     &wan.Config{DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate},
-		FailDay: -1, LogDir: logDir,
+		DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate,
+		Partitions: []wan.Outage{}, // loss without partitions
+		LogDir:     logDir,
 	}, storageHooks{logFS: fsys, images: images, afterDay: func(day int) error {
 		// Day-boundary scrub: one recursive sweep repairs decayed mirror
 		// copies across the log pair, the sealed segments, and every

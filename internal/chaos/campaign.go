@@ -89,10 +89,19 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Seed: cfg.Seed, Events: len(plan)}
-	count := [...]*int{KillClean: &rep.Kills, KillTorn: &rep.TornKills, Partition: &rep.Partitions,
-		SensorFault: &rep.SensorFaults, HardwareFault: &rep.HardwareFaults}
 	for _, e := range plan {
-		*count[e.Kind]++
+		switch e.Kind {
+		case KillClean:
+			rep.Kills++
+		case KillTorn:
+			rep.TornKills++
+		case Partition:
+			rep.Partitions++
+		case SensorFault:
+			rep.SensorFaults++
+		case HardwareFault:
+			rep.HardwareFaults++
+		}
 	}
 	faultPlan := faultPlanOf(plan)
 

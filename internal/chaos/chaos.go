@@ -64,19 +64,21 @@ const (
 	HardwareFault
 )
 
-var kindNames = [...]string{
-	KillClean:     "kill-clean",
-	KillTorn:      "kill-torn",
-	Partition:     "partition",
-	SensorFault:   "sensor-fault",
-	HardwareFault: "hardware-fault",
-}
-
 func (k Kind) String() string {
-	if k >= 0 && int(k) < len(kindNames) {
-		return kindNames[k]
+	switch k {
+	case KillClean:
+		return "kill-clean"
+	case KillTorn:
+		return "kill-torn"
+	case Partition:
+		return "partition"
+	case SensorFault:
+		return "sensor-fault"
+	case HardwareFault:
+		return "hardware-fault"
+	default:
+		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one scheduled chaos event.

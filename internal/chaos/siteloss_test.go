@@ -2,13 +2,14 @@ package chaos
 
 import (
 	"testing"
+	"time"
 )
 
 // siteLossConfig is the federated storm over ideal links: the site-loss
 // acceptance campaign, three sites with a three-day storm over site 0.
 func siteLossConfig(seed int64) WANStormConfig {
 	cfg := DefaultWANStormConfig(seed)
-	cfg.WAN = nil
+	cfg.DropRate, cfg.CorruptRate = 0, 0
 	return cfg
 }
 
@@ -91,7 +92,7 @@ func TestSiteLossDeterministic(t *testing.T) {
 func TestSiteLossHardFailure(t *testing.T) {
 	cfg := siteLossConfig(2015)
 	cfg.Migration = true
-	cfg.FailDay = cfg.Days - 1
+	cfg.FailAt = time.Duration(cfg.Days-1)*24*time.Hour + 15*time.Hour
 	cfg.LogDir = t.TempDir()
 	rep, err := RunWANStorm(cfg)
 	if err != nil {

@@ -169,10 +169,16 @@ func RunStorm(cfg StormConfig) (*StormReport, error) {
 		if rep.Recoveries == 0 {
 			rep.violate("kill-recovered", "kill day %d produced no recovery (emergency never reached?)", cfg.KillDay)
 		}
-		if rep.TrajectoryHash != ref.TrajectoryHash || rep.FinalMode != ref.FinalMode ||
-			rep.ModeTransitions != ref.ModeTransitions {
-			rep.violate("kill-invisible", "interrupted storm (trajectory %x, rung %s, %d ladder moves) diverged from uninterrupted (%x, %s, %d)",
-				rep.TrajectoryHash, rep.FinalMode, rep.ModeTransitions, ref.TrajectoryHash, ref.FinalMode, ref.ModeTransitions)
+		if rep.TrajectoryHash != ref.TrajectoryHash {
+			rep.violate("kill-invisible", "interrupted storm trajectory %x diverged from uninterrupted %x",
+				rep.TrajectoryHash, ref.TrajectoryHash)
+		}
+		if rep.FinalMode != ref.FinalMode {
+			rep.violate("kill-invisible", "interrupted storm ended in rung %s, uninterrupted in %s", rep.FinalMode, ref.FinalMode)
+		}
+		if rep.ModeTransitions != ref.ModeTransitions {
+			rep.violate("kill-invisible", "interrupted storm made %d ladder moves, uninterrupted %d",
+				rep.ModeTransitions, ref.ModeTransitions)
 		}
 		rep.merge(&ref.verdict)
 		return rep, nil

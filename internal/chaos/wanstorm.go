@@ -54,22 +54,30 @@ type WANStormConfig struct {
 	Migration bool
 	// JobGB is the per-arrival batch dataset size at every site.
 	JobGB float64
-	// WAN, when set, routes every cross-site byte through the degraded
-	// backhaul model; its Seed and Sites come from this config. Nil keeps
-	// the coordinator's ideal single-shot links.
-	WAN *wan.Config
-	// FailDay, when >= 0, hard-kills the storm site on that day at 15h —
-	// storm damage turning into total site loss.
-	FailDay int
+	// DropRate/CorruptRate are the per-chunk-attempt loss probabilities
+	// (the acceptance bar is a combined rate >= 0.30).
+	DropRate    float64
+	CorruptRate float64
+	// Partitions are the scheduled uplink outages. A loss rate above zero
+	// or a scheduled partition routes every cross-site byte through the
+	// degraded backhaul model; with neither, the coordinator keeps its
+	// ideal single-shot links. Nil on a lossy WAN gets the default pair
+	// of six-hour cuts: a donor on day 0, the storm site itself on day 1 —
+	// mid-evacuation, with transfers in flight. An empty slice schedules
+	// none.
+	Partitions []wan.Outage
+	// FailAt, when nonzero, hard-kills the storm site that long after the
+	// campaign starts (day d at 15h is d*24h + 15h) — storm damage turning
+	// into total site loss.
+	FailAt time.Duration
 	// LogDir holds the migration log; empty uses a private temporary
 	// directory (the log is required — the audit replays it).
 	LogDir string
 }
 
 // DefaultWANStormConfig is the acceptance campaign: three sites, a
-// three-day storm over site 0, 30% drops + 5% corruption, and two six-hour
-// partitions — a donor on day 0, then the storm site itself on day 1,
-// mid-evacuation with transfers in flight. Set WAN to nil for ideal links.
+// three-day storm over site 0, 30% drops + 5% corruption, and the two
+// default six-hour partitions. Zero both rates for ideal links.
 func DefaultWANStormConfig(seed int64) WANStormConfig {
 	return WANStormConfig{
 		Seed:      seed,
@@ -79,11 +87,18 @@ func DefaultWANStormConfig(seed int64) WANStormConfig {
 		Batteries: 6,
 		Servers:   4,
 		JobGB:     40,
-		WAN: &wan.Config{DropRate: 0.30, CorruptRate: 0.05, Outages: []wan.Outage{
-			{Site: 1, Day: 0, From: 9 * time.Hour, To: 15 * time.Hour},
-			{Site: 0, Day: 1, From: 10 * time.Hour, To: 16 * time.Hour},
-		}},
-		FailDay: -1,
+		DropRate:  0.30, CorruptRate: 0.05,
+	}
+}
+
+// defaultPartitions is the scheduled outage pair for an n-site fleet with
+// the storm over stormSite: six hours without a donor, then six hours with
+// the evacuating site itself cut off mid-transfer.
+func defaultPartitions(stormSite, sites int) []wan.Outage {
+	donor := (stormSite + 1) % sites
+	return []wan.Outage{
+		{Site: donor, Day: 0, From: 9 * time.Hour, To: 15 * time.Hour},
+		{Site: stormSite, Day: 1, From: 10 * time.Hour, To: 16 * time.Hour},
 	}
 }
 
@@ -207,9 +222,21 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 }
 
 func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport, error) {
-	if cfg.Days < 1 || cfg.Sites < 2 || cfg.StormSite < 0 || cfg.StormSite >= cfg.Sites || cfg.FailDay >= cfg.Days {
-		return nil, fmt.Errorf("chaos: federated storm needs >= 1 day and >= 2 sites, with StormSite and FailDay inside them: %d days, %d sites, storm site %d, fail day %d",
-			cfg.Days, cfg.Sites, cfg.StormSite, cfg.FailDay)
+	if cfg.Days < 1 {
+		return nil, fmt.Errorf("chaos: federated storm needs at least one day")
+	}
+	if cfg.Sites < 2 {
+		return nil, fmt.Errorf("chaos: federated storm needs at least two sites")
+	}
+	if cfg.StormSite < 0 || cfg.StormSite >= cfg.Sites {
+		return nil, fmt.Errorf("chaos: storm site %d outside the %d-site fleet", cfg.StormSite, cfg.Sites)
+	}
+	if cfg.FailAt < 0 || cfg.FailAt >= time.Duration(cfg.Days)*24*time.Hour {
+		return nil, fmt.Errorf("chaos: site failure at %v outside the %d-day storm", cfg.FailAt, cfg.Days)
+	}
+	failDay := -1
+	if cfg.FailAt > 0 {
+		failDay = int(cfg.FailAt / (24 * time.Hour))
 	}
 	logDir := cfg.LogDir
 	if logDir == "" {
@@ -220,16 +247,25 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 		defer os.RemoveAll(dir)
 		logDir = dir
 	}
+	logFS := hooks.logFS
+	if logFS == nil {
+		logFS = journal.Disk
+	}
 	var net *wan.Network
-	partitions := 0
-	if cfg.WAN != nil {
-		wcfg := *cfg.WAN
-		wcfg.Seed, wcfg.Sites = cfg.Seed, cfg.Sites
+	partitions := cfg.Partitions
+	if cfg.DropRate > 0 || cfg.CorruptRate > 0 || len(partitions) > 0 {
+		if partitions == nil {
+			partitions = defaultPartitions(cfg.StormSite, cfg.Sites)
+		}
 		var err error
-		if net, err = wan.New(wcfg); err != nil {
+		net, err = wan.New(wan.Config{
+			Seed: cfg.Seed, Sites: cfg.Sites,
+			DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate,
+			Outages: partitions,
+		})
+		if err != nil {
 			return nil, err
 		}
-		partitions = len(wcfg.Outages)
 	}
 	fed, err := newFederation(cfg)
 	if err != nil {
@@ -245,7 +281,7 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 		Migration: cfg.Migration,
 		WAN:       net,
 		LogDir:    logDir,
-		LogFS:     hooks.logFS,
+		LogFS:     logFS,
 		Images:    hooks.images,
 		Prepare: func(day int, fl *sim.Fleet) {
 			curFl = fl
@@ -266,8 +302,8 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 		return nil, err
 	}
 	defer c.Close()
-	if cfg.FailDay >= 0 {
-		if err := c.ScheduleSiteFailure(cfg.FailDay, 15*time.Hour, cfg.StormSite); err != nil {
+	if failDay >= 0 {
+		if err := c.ScheduleSiteFailure(failDay, cfg.FailAt%(24*time.Hour), cfg.StormSite); err != nil {
 			return nil, err
 		}
 	}
@@ -286,7 +322,7 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 			rep.Brownouts += r.Brownouts
 			rep.VMsLost += r.VMsLost
 			rep.VMsSaved += r.VMsSaved
-			if i == cfg.StormSite && day == cfg.FailDay {
+			if i == cfg.StormSite && day == failDay {
 				// A hard-failed site crashes with its in-flight VMs by
 				// definition — that is the disposability bargain, not a
 				// survivability breach.
@@ -323,7 +359,7 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 	// outlasts the 8-hour lease: any other declared death means the
 	// detector confused a partition with a loss — split-brain's front door.
 	scheduled := 0
-	if cfg.FailDay >= 0 {
+	if failDay >= 0 {
 		scheduled = 1
 	}
 	if rep.SitesLost != scheduled {
@@ -331,10 +367,10 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 	}
 	// Every scheduled partition must end in a heal: the suspected site
 	// heartbeats again and rejoins without accounting damage.
-	if rep.Heals < partitions {
-		rep.violate("partitions-heal", "%d partitions scheduled but only %d heals observed", partitions, rep.Heals)
+	if rep.Heals < len(partitions) {
+		rep.violate("partitions-heal", "%d partitions scheduled but only %d heals observed", len(partitions), rep.Heals)
 	}
-	if err := auditLog(rep, logDir, scheduled > 0); err != nil {
+	if err := auditLog(rep, logFS, logDir, scheduled > 0); err != nil {
 		return nil, err
 	}
 	if cfg.Migration {
@@ -345,16 +381,16 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 			rep.violate("evacuated", "storm site migrated nothing off-site")
 		}
 		// Only the WAN's chunked transfers journal per-job manifests.
-		if cfg.WAN != nil && rep.JobsLanded == 0 {
+		if net != nil && rep.JobsLanded == 0 {
 			rep.violate("landed", "no migrated job ever landed across the lossy WAN")
 		}
-		if cfg.WAN != nil && cfg.WAN.DropRate > 0 && rep.ChunkDrops == 0 {
-			rep.violate("wan-lossy", "%.0f%% drop rate produced zero chunk drops", 100*cfg.WAN.DropRate)
+		if cfg.DropRate > 0 && rep.ChunkDrops == 0 {
+			rep.violate("wan-lossy", "%.0f%% drop rate produced zero chunk drops", 100*cfg.DropRate)
 		}
 		if rep.ChunkDrops+rep.ChunkCorrupts > 0 && rep.RetransmitGB <= 0 {
 			rep.violate("retransmitted", "chunk losses produced zero retransmitted bytes")
 		}
-		if cfg.FailDay < 0 {
+		if failDay < 0 {
 			if rep.StormBacklogGB > 0 {
 				rep.violate("backlog-drained", "storm site finished the campaign holding %.1f GB deferred", rep.StormBacklogGB)
 			}
@@ -384,7 +420,7 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 		return nil, err
 	}
 	audit, err := fleet.New(fleet.Config{
-		Migration: cfg.Migration, WAN: net, LogDir: logDir, LogFS: hooks.logFS,
+		Migration: cfg.Migration, WAN: net, LogDir: logDir, LogFS: logFS,
 	}, auditFed.sites)
 	if err != nil {
 		return nil, err
@@ -396,7 +432,7 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 
 	// With migration off (and no site failing) the coordinator is a pure
 	// observer: every plant must match its solo run bit for bit.
-	if !cfg.Migration && cfg.FailDay < 0 {
+	if !cfg.Migration && failDay < 0 {
 		solo, err := soloHash(cfg)
 		if err != nil {
 			return nil, err
@@ -408,8 +444,8 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 	return rep, nil
 }
 
-// auditLog checks exactly-once from the migration log alone, like an
-// auditor who never saw the live coordinator. At every moment a job is in
+// auditLog checks exactly-once from the migration log alone, read through
+// fsys like an auditor who never saw the live coordinator. At every moment a job is in
 // exactly one place — riding one transfer or resident at one site.
 // Re-migration (land, then leave on a later transfer) is legitimate; being
 // in two open transfers, or landing while already resident, is a breach.
@@ -417,8 +453,8 @@ func runFederatedStorm(cfg WANStormConfig, hooks storageHooks) (*WANStormReport,
 // which is legitimate only under a scheduled failure. Every other job that
 // ever entered a transfer must end resident somewhere or still in flight —
 // never vanished.
-func auditLog(rep *WANStormReport, logDir string, deathScheduled bool) error {
-	records, err := fleet.ReplayLog(logDir)
+func auditLog(rep *WANStormReport, fsys journal.FS, logDir string, deathScheduled bool) error {
+	records, err := fleet.ReplayLogFS(fsys, logDir)
 	if err != nil {
 		return err
 	}

@@ -93,7 +93,7 @@ func TestWANStormPartitionOutlastingLeaseIsDeath(t *testing.T) {
 	cfg := DefaultWANStormConfig(604)
 	cfg.Migration = true
 	cfg.Days = 1
-	cfg.WAN.Outages = []wan.Outage{
+	cfg.Partitions = []wan.Outage{
 		{Site: 1, Day: 0, From: 9 * time.Hour, To: 23 * time.Hour},
 	}
 	rep, err := RunWANStorm(cfg)
@@ -108,6 +108,27 @@ func TestWANStormPartitionOutlastingLeaseIsDeath(t *testing.T) {
 	}
 	if rep.JobsDoubleRun != 0 || rep.SplitBrain != 0 {
 		t.Fatalf("guards tripped across a lease expiry: %s", rep)
+	}
+}
+
+// TestWANStormDefaultPartitionsFollowStormSite moves the storm: the
+// default cuts must still hit a donor first and then the evacuating site.
+func TestWANStormDefaultPartitionsFollowStormSite(t *testing.T) {
+	got := defaultPartitions(2, 3)
+	if len(got) != 2 || got[0].Site != 0 || got[1].Site != 2 {
+		t.Fatalf("storm over site 2: partitions %+v, want donor 0 then site 2", got)
+	}
+}
+
+// TestWANStormRejectsFailureOutsideStorm checks FailAt is bounded by the
+// campaign: a negative time or one past the last day is a harness error.
+func TestWANStormRejectsFailureOutsideStorm(t *testing.T) {
+	for _, at := range []time.Duration{-time.Hour, 3 * 24 * time.Hour} {
+		cfg := DefaultWANStormConfig(1)
+		cfg.FailAt = at
+		if _, err := RunWANStorm(cfg); err == nil {
+			t.Errorf("FailAt %v in a %d-day storm accepted", at, cfg.Days)
+		}
 	}
 }
 

@@ -232,8 +232,11 @@ func (l *migLog) close() error { return l.store.Close() }
 
 // ReplayLog reads the migration log in dir without opening it for writing —
 // the forensic view of what a (possibly dead) coordinator shipped.
-func ReplayLog(dir string) ([]Record, error) {
-	res, err := journal.Load(dir)
+func ReplayLog(dir string) ([]Record, error) { return ReplayLogFS(journal.Disk, dir) }
+
+// ReplayLogFS is ReplayLog through fsys, the filesystem the log lives on.
+func ReplayLogFS(fsys journal.FS, dir string) ([]Record, error) {
+	res, err := journal.LoadFS(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
