@@ -345,7 +345,10 @@ func (w *emergencyWatch) check(v *verdict, mode core.OpMode, sys *sim.System, to
 		}
 		w.mode = mode
 	}
-	if l := sys.Cluster.VMsLost(); w.noLoss && l > w.lost {
+	if !w.noLoss {
+		return
+	}
+	if l := sys.Cluster.VMsLost(); l > w.lost {
 		v.violate("no-vms-lost", "%s: %d VMs lost uncheckpointed at %v", w.where, l-w.lost, tod)
 		w.lost = l
 	}
