@@ -14,6 +14,7 @@ import (
 // stay inside one snapshot window, every corruption of mirrored state
 // must be repaired, and the guard counters must stay zero.
 func TestBitrotStormSelfHealing(t *testing.T) {
+	t.Parallel()
 	rep, err := RunBitrotStorm(DefaultBitrotStormConfig(701))
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,7 @@ func TestBitrotStormSelfHealing(t *testing.T) {
 // the whole fault-injection and repair path is a deterministic function
 // of the seed.
 func TestBitrotStormRerunIsBitIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("rerun storm skipped in -short")
 	}
@@ -64,6 +66,7 @@ func TestBitrotStormRerunIsBitIdentical(t *testing.T) {
 // fault rate zeroed the same schedule of kills must run with no scrub
 // detections, no rollback beyond the torn-kill slack, and no violations.
 func TestBitrotStormCleanDiskIsQuiet(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultBitrotStormConfig(703)
 	cfg.Days = 1
 	cfg.StateFaults = diskfault.Config{}

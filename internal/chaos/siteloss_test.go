@@ -19,6 +19,7 @@ func siteLossConfig(seed int64) WANStormConfig {
 // sunny sites must finish it, and no VM anywhere may be lost
 // uncheckpointed.
 func TestSiteLossMigrationHandsOffStorm(t *testing.T) {
+	t.Parallel()
 	cfg := siteLossConfig(2015)
 	cfg.Migration = true
 	cfg.LogDir = t.TempDir()
@@ -50,6 +51,7 @@ func TestSiteLossMigrationHandsOffStorm(t *testing.T) {
 // darkened site real VM losses, or the migration comparison proves
 // nothing.
 func TestSiteLossBaselineRecordsDamage(t *testing.T) {
+	t.Parallel()
 	cfg := siteLossConfig(2015)
 	rep, err := RunWANStorm(cfg)
 	if err != nil {
@@ -68,6 +70,7 @@ func TestSiteLossBaselineRecordsDamage(t *testing.T) {
 // seed: the whole fleet — every plant trajectory and every shipment — must
 // reproduce exactly.
 func TestSiteLossDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := siteLossConfig(7)
 	cfg.Migration = true
 	a, err := RunWANStorm(cfg)
@@ -90,6 +93,7 @@ func TestSiteLossDeterministic(t *testing.T) {
 // final day: the storm site dies at 15h with its in-flight resources, the
 // survivors keep running, and the loss is journaled.
 func TestSiteLossHardFailure(t *testing.T) {
+	t.Parallel()
 	cfg := siteLossConfig(2015)
 	cfg.Migration = true
 	cfg.FailAt = time.Duration(cfg.Days-1)*24*time.Hour + 15*time.Hour

@@ -12,6 +12,7 @@ import (
 // (transitions observed) and come out with zero crash-brownouts and zero
 // uncheckpointed VM loss.
 func TestStormSurvivalClean(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultStormConfig(2015)
 	cfg.Survival = true
 	cfg.Genset = true
@@ -45,6 +46,7 @@ func TestStormSurvivalClean(t *testing.T) {
 // — crash-brownouts and VMs lost with their working state — or the
 // survivability comparison proves nothing.
 func TestStormBaselineRecordsDamage(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultStormConfig(2015)
 	rep, err := RunStorm(cfg)
 	if err != nil {
@@ -68,6 +70,7 @@ func TestStormBaselineRecordsDamage(t *testing.T) {
 // the interrupted storm must finish bit-identically with its uninterrupted
 // twin — trajectory hash, final rung, and ladder-move count all equal.
 func TestStormKillMidEmergency(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultStormConfig(2015)
 	cfg.Survival = true
 	cfg.Genset = true

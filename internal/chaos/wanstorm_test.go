@@ -13,6 +13,7 @@ import (
 // be declared a death, the log must reconcile with the live accounting,
 // and the guard counters must stay zero.
 func TestWANStormExactlyOnce(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultWANStormConfig(601)
 	cfg.Migration = true
 	rep, err := RunWANStorm(cfg)
@@ -40,6 +41,7 @@ func TestWANStormExactlyOnce(t *testing.T) {
 // Drops, partitions, reroutes, and backoff are all deterministic functions
 // of the seed and the sim clock.
 func TestWANStormRerunIsBitIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("rerun campaign skipped in -short")
 	}
@@ -67,6 +69,7 @@ func TestWANStormRerunIsBitIdentical(t *testing.T) {
 // to its solo run (the campaign itself computes and compares the solo hash;
 // a divergence is a violation).
 func TestWANStormObserverIsByteIdentical(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultWANStormConfig(603)
 	cfg.Migration = false
 	cfg.Days = 2 // identity holds day-by-day; two days keep the test fast
@@ -87,6 +90,7 @@ func TestWANStormObserverIsByteIdentical(t *testing.T) {
 // coordinator must declare the cut-off site dead — proving the default
 // lease, which no scheduled partition outlasts, is what prevents it.
 func TestWANStormPartitionOutlastingLeaseIsDeath(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("lease campaign skipped in -short")
 	}
