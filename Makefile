@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-json bench-scaling perf-diff experiments clean
+.PHONY: all build test race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-layers bench-json bench-scaling perf-diff experiments clean
 
 all: build
 
@@ -18,9 +18,10 @@ race:
 
 # race-faults runs just the concurrency-heavy fault-injection and fieldbus
 # suites under the race detector (dropped connections, retry/backoff, and
-# server drains all cross goroutines).
+# server drains all cross goroutines, and the scan cycle's bulk register
+# passes share the register file with the Modbus server).
 race-faults:
-	$(GO) test -race -count=1 ./internal/faults ./internal/modbus
+	$(GO) test -race -count=1 ./internal/faults ./internal/modbus ./internal/plc
 
 # smoke-faults runs one simulated day with a battery unit and a discharge
 # relay faulted mid-day and fails if the plant loses availability.
@@ -146,12 +147,18 @@ bench-scaling:
 # simulation, the telemetry-plane smoke test, the crash-recovery chaos
 # campaigns, the energy-emergency survivability gates, the fleet-federation
 # gates, the serving-plane gates, the degraded-WAN gates, the self-healing
-# storage gates, and the multicore scaling gate.
-check: vet vet-storage build race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-scaling
+# storage gates, the per-layer benchmarks, and the multicore scaling gate.
+check: vet vet-storage build race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-layers bench-scaling
 
 # bench runs the simulation hot-path and experiment benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemTick|BenchmarkFullDaySimulation|BenchmarkBattery' -benchmem .
+
+# bench-layers runs the package-local benchmarks of the tick's layers — the
+# PLC scan, a battery unit's snapshot, and a bank's rest step — for a fixed
+# iteration count, reporting ns/op and allocs/op for each.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'PLCScan|UnitSnapshot|BankRest' -benchtime 1000x -benchmem ./internal/sim ./internal/battery
 
 # bench-json writes the machine-readable performance report.
 bench-json:

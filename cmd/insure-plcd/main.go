@@ -37,6 +37,7 @@ import (
 	"insure/internal/journal"
 	"insure/internal/modbus"
 	"insure/internal/plc"
+	"insure/internal/plcio"
 	"insure/internal/relay"
 	"insure/internal/sensor"
 	"insure/internal/telemetry"
@@ -82,36 +83,13 @@ func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
 	}
 
 	p.controller = plc.New(n)
-	p.controller.Sample = func(r *plc.RegisterFile) {
-		for i, u := range p.bank.Units() {
-			snap := u.Snapshot()
-			p.probes[i].Sample(snap.Terminal, snap.LastCurrent)
-			_ = r.SetInput(plc.InputVolt(i), p.probes[i].Volt.Raw())
-			_ = r.SetInput(plc.InputCurrent(i), p.probes[i].Current.Raw())
-		}
-		_ = r.SetInput(plc.InputSolarPower, uint16(p.solarW))
-		_ = r.SetInput(plc.InputLoadPower, uint16(p.loadW))
-	}
-	p.controller.Actuate = func(r *plc.RegisterFile) {
-		for i := 0; i < n; i++ {
-			cr, err1 := r.ReadCoils(plc.CoilCharge(i), 1)
-			dr, err2 := r.ReadCoils(plc.CoilDischarge(i), 1)
-			if err1 != nil || err2 != nil {
-				continue
-			}
-			pair := p.fabric.Pair(i)
-			switch {
-			case cr[0] && dr[0]:
-				pair.SetMode(relay.Open) // interlock
-			case cr[0]:
-				pair.SetMode(relay.Charging)
-			case dr[0]:
-				pair.SetMode(relay.Discharging)
-			default:
-				pair.SetMode(relay.Open)
-			}
-		}
-	}
+	plcio.Bind(p.controller, plcio.Panel{
+		Bank:   p.bank,
+		Fabric: p.fabric,
+		Probes: p.probes,
+		Solar:  &p.solarW,
+		Load:   &p.loadW,
+	})
 
 	reg := telemetry.NewRegistry()
 	p.reg = reg

@@ -52,10 +52,11 @@ func MustNewBank(p Params, n int, soc float64) *Bank {
 
 // NewBankFleet builds one bank per plant, all backed by a single shared
 // store so a fleet's battery state is one contiguous block of memory. Plant
-// i owns store slots [i·unitsPer, (i+1)·unitsPer). The banks are fully
-// independent operationally — the shared store is a memory layout, not a
-// coupling — and stepping them interleaved is bit-identical to stepping
-// per-plant stores.
+// i owns store slots [i·unitsPer, (i+1)·unitsPer). The banks are
+// independent operationally — no power or charge passes between them — and
+// stepping them interleaved is bit-identical to stepping per-plant stores.
+// They do share the store's step-length cache (BankSoA.relax), so the banks
+// of one fleet must be stepped from one goroutine.
 func NewBankFleet(p Params, plants, unitsPer int, soc float64) ([]*Bank, *BankSoA, error) {
 	if plants <= 0 || unitsPer <= 0 {
 		return nil, nil, fmt.Errorf("battery: fleet of %d plants × %d units must be positive", plants, unitsPer)

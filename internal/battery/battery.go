@@ -164,6 +164,18 @@ type BankSoA struct {
 	// faultLoss is the capacity fraction destroyed by an injected hardware
 	// fault (shorted cells); zero on a healthy unit.
 	faultLoss []float64
+
+	// capAh is each unit's present usable capacity, a function of
+	// throughput and faultLoss kept current by recap wherever either is
+	// written, so the per-tick read-outs load it instead of recomputing it.
+	capAh []float64
+
+	// relaxDt and relax cache diffuse's well-relaxation factor
+	// 1 − exp(−k′·dt) for the last step length seen (the zero values are
+	// exact for dt = 0). The cache is one pair for the whole store, so every
+	// unit stepped writes it: units of one store, including the banks of a
+	// NewBankFleet, must be stepped from one goroutine.
+	relaxDt, relax float64
 }
 
 // NewBankSoA allocates a store of n units at the given initial state of
@@ -189,12 +201,23 @@ func NewBankSoA(p Params, n int, soc float64) (*BankSoA, error) {
 		rawIn:      make([]units.AmpHour, n),
 		cycles:     make([]float64, n),
 		faultLoss:  make([]float64, n),
+		capAh:      make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		s.avail[i] = soc * cap * p.CapacityRatio
 		s.bound[i] = soc * cap * (1 - p.CapacityRatio)
+		s.recap(i)
 	}
 	return s, nil
+}
+
+// recap recomputes slot i's usable capacity: nameplate reduced by linear
+// aging fade as wear accumulates toward the lifetime throughput, and by any
+// injected capacity-loss fault. Call it after every write to throughput or
+// faultLoss.
+func (s *BankSoA) recap(i int) {
+	fade := s.p.FadeAtEOL * math.Min(float64(s.throughput[i])/float64(s.p.LifetimeAh), 1.5)
+	s.capAh[i] = float64(s.p.CapacityAh) * (1 - fade) * (1 - s.faultLoss[i])
 }
 
 // Len returns the number of unit slots in the store.
@@ -233,13 +256,8 @@ func MustNew(p Params, soc float64) *Unit {
 // Params returns the unit's configuration.
 func (u *Unit) Params() Params { return u.s.p }
 
-// capAh is the present usable capacity: nameplate reduced by linear aging
-// fade as wear accumulates toward the lifetime throughput, and by any
-// injected capacity-loss fault.
-func (u *Unit) capAh() float64 {
-	fade := u.s.p.FadeAtEOL * math.Min(u.WearFraction(), 1.5)
-	return float64(u.s.p.CapacityAh) * (1 - fade) * (1 - u.s.faultLoss[u.i])
-}
+// capAh is the present usable capacity (see BankSoA.recap).
+func (u *Unit) capAh() float64 { return u.s.capAh[u.i] }
 
 // InjectCapacityLoss destroys frac of the unit's capacity mid-operation —
 // the signature of shorted cells in a VRLA block. The stored charge falls
@@ -253,6 +271,7 @@ func (u *Unit) InjectCapacityLoss(frac float64) {
 	}
 	s, i := u.s, u.i
 	s.faultLoss[i] = 1 - (1-s.faultLoss[i])*(1-frac)
+	s.recap(i)
 	keep := (1 - frac) * (1 - frac)
 	s.avail[i] *= keep
 	s.bound[i] *= keep
@@ -266,16 +285,20 @@ func (u *Unit) EffectiveCapacity() units.AmpHour { return units.AmpHour(u.capAh(
 
 // SoC is the total state of charge in [0,1] counting both wells, against
 // the present (faded) capacity.
-func (u *Unit) SoC() float64 {
-	return units.Clamp((u.s.avail[u.i]+u.s.bound[u.i])/u.capAh(), 0, 1)
-}
+func (u *Unit) SoC() float64 { return u.s.socAt(u.i) }
 
 // AvailableSoC is the normalised level of the available well only. Under
 // sustained high current it drops well below SoC — that gap is the
 // rate-capacity effect, and its closing at rest is the recovery effect.
-func (u *Unit) AvailableSoC() float64 {
-	denom := u.capAh() * u.s.p.CapacityRatio
-	return units.Clamp(u.s.avail[u.i]/denom, 0, 1)
+func (u *Unit) AvailableSoC() float64 { return u.s.availSoCAt(u.i) }
+
+func (s *BankSoA) socAt(i int) float64 {
+	return units.Clamp((s.avail[i]+s.bound[i])/s.capAh[i], 0, 1)
+}
+
+func (s *BankSoA) availSoCAt(i int) float64 {
+	denom := s.capAh[i] * s.p.CapacityRatio
+	return units.Clamp(s.avail[i]/denom, 0, 1)
 }
 
 // StoredEnergy approximates the energy content at nominal voltage.
@@ -284,14 +307,20 @@ func (u *Unit) StoredEnergy() units.WattHour {
 }
 
 // OCV is the rest (open-circuit) voltage implied by the available well.
-func (u *Unit) OCV() units.Volt {
-	return units.Volt(units.Lerp(float64(u.s.p.OCVEmpty), float64(u.s.p.OCVFull), u.AvailableSoC()))
+func (u *Unit) OCV() units.Volt { return u.s.ocvAt(u.AvailableSoC()) }
+
+// ocvAt is the open-circuit voltage at available-well level availSoC.
+func (s *BankSoA) ocvAt(availSoC float64) units.Volt {
+	return units.Volt(units.Lerp(float64(s.p.OCVEmpty), float64(s.p.OCVFull), availSoC))
 }
 
 // TerminalVoltage is what a transducer reads: OCV sagged or lifted by the
 // most recent current through the internal resistance.
-func (u *Unit) TerminalVoltage() units.Volt {
-	return units.Volt(float64(u.OCV()) - float64(u.s.lastI[u.i])*u.s.p.InternalOhm)
+func (u *Unit) TerminalVoltage() units.Volt { return u.s.terminalAt(u.i, u.AvailableSoC()) }
+
+// terminalAt is slot i's terminal voltage given its available-well level.
+func (s *BankSoA) terminalAt(i int, availSoC float64) units.Volt {
+	return units.Volt(float64(s.ocvAt(availSoC)) - float64(s.lastI[i])*s.p.InternalOhm)
 }
 
 // BelowCutoff reports whether the protection threshold has been crossed.
@@ -310,8 +339,11 @@ func (s *BankSoA) diffuse(i int, dtSec float64, capAh float64) {
 	h2 := s.bound[i] / (1 - c)
 	// Closed-form relaxation of the head difference avoids Euler
 	// instability at large dt: Δh decays with rate k(1/c + 1/(1−c)).
-	kk := s.p.RateConst * (1/c + 1/(1-c))
-	delta := (h2 - h1) * (1 - math.Exp(-kk*dtSec))
+	if dtSec != s.relaxDt {
+		kk := s.p.RateConst * (1/c + 1/(1-c))
+		s.relaxDt, s.relax = dtSec, 1-math.Exp(-kk*dtSec)
+	}
+	delta := (h2 - h1) * s.relax
 	// Convert head change back to charge moved (both wells see the same
 	// transferred charge q; h1 rises by q/c, h2 falls by q/(1−c)).
 	q := delta / (1/c + 1/(1-c))
@@ -331,12 +363,6 @@ func (s *BankSoA) diffuse(i int, dtSec float64, capAh float64) {
 	}
 }
 
-// capAhAt is capAh for slot i (the Unit method with the handle unwrapped).
-func (s *BankSoA) capAhAt(i int) float64 {
-	fade := s.p.FadeAtEOL * math.Min(float64(s.throughput[i])/float64(s.p.LifetimeAh), 1.5)
-	return float64(s.p.CapacityAh) * (1 - fade) * (1 - s.faultLoss[i])
-}
-
 // Rest advances the unit with no current flowing; only recovery diffusion
 // happens. The relay for this unit is open.
 func (u *Unit) Rest(dt time.Duration) {
@@ -351,7 +377,7 @@ func (s *BankSoA) RestAll(dt time.Duration) {
 	dtSec := dt.Seconds()
 	for i := range s.avail {
 		s.lastI[i] = 0
-		s.diffuse(i, dtSec, s.capAhAt(i))
+		s.diffuse(i, dtSec, s.capAh[i])
 	}
 }
 
@@ -383,6 +409,7 @@ func (u *Unit) Discharge(i units.Amp, dt time.Duration) units.AmpHour {
 		wear *= s.p.DeepWearFactor
 	}
 	s.throughput[k] += units.AmpHour(wear)
+	s.recap(k)
 	s.rawOut[k] += units.AmpHour(got)
 	s.cycles[k] += got / float64(s.p.CapacityAh)
 	return units.AmpHour(got)
@@ -516,12 +543,14 @@ type Snapshot struct {
 
 // Snapshot captures the observable state of the unit.
 func (u *Unit) Snapshot() Snapshot {
+	s, i := u.s, u.i
+	avail := s.availSoCAt(i)
 	return Snapshot{
-		SoC:          u.SoC(),
-		AvailableSoC: u.AvailableSoC(),
-		Terminal:     u.TerminalVoltage(),
-		LastCurrent:  u.s.lastI[u.i],
-		Throughput:   u.s.throughput[u.i],
+		SoC:          s.socAt(i),
+		AvailableSoC: avail,
+		Terminal:     s.terminalAt(i, avail),
+		LastCurrent:  s.lastI[i],
+		Throughput:   s.throughput[i],
 		StoredEnergy: u.StoredEnergy(),
 	}
 }

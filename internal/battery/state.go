@@ -52,6 +52,7 @@ func (u *Unit) Restore(st UnitState) {
 	s.rawIn[i] = st.RawIn
 	s.cycles[i] = st.Cycles
 	s.faultLoss[i] = st.FaultLoss
+	s.recap(i)
 }
 
 // AppendTo serializes the state bit-exactly into e.

@@ -126,6 +126,10 @@ type Record struct {
 // the chunked-transfer fields; v1 records (PR 7 logs) still decode.
 const recordVersion = 2
 
+// jobRefBytes is the encoded size of one manifest JobRef: five 8-byte
+// fields.
+const jobRefBytes = 40
+
 func encodeRecord(enc *journal.Encoder, r Record) {
 	enc.Reset()
 	enc.U8(recordVersion)
@@ -177,6 +181,11 @@ func decodeRecord(b []byte) (Record, error) {
 		n := d.Int()
 		if err := d.Err(); err != nil {
 			return Record{}, fmt.Errorf("fleet: corrupt migration record: %w", err)
+		}
+		// Reject a manifest count the rest of the record cannot hold before
+		// decoding any entry, so a garbled count cannot exhaust memory.
+		if n < 0 || n > d.Remaining()/jobRefBytes {
+			return Record{}, fmt.Errorf("fleet: corrupt migration record: %d manifest entries in %d bytes", n, d.Remaining())
 		}
 		for i := 0; i < n; i++ {
 			r.Manifest = append(r.Manifest, JobRef{

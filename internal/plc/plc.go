@@ -57,7 +57,9 @@ var ErrAddress = errors.New("plc: illegal data address")
 
 // RegisterFile is the PLC's process image: the four standard register
 // banks. It is safe for concurrent access — the scan cycle and the fieldbus
-// server touch it from different goroutines.
+// server touch it from different goroutines. The scan cycle's passes use
+// the bulk accessors (SetInputs, CoilsInto), so a scan takes the lock once
+// per block of registers rather than once per register.
 type RegisterFile struct {
 	mu       sync.RWMutex
 	coils    []bool
@@ -76,26 +78,25 @@ func NewRegisterFile(coils, discrete, holding, input int) *RegisterFile {
 	}
 }
 
-// Coil returns a single coil state without allocating. The scan cycle's
-// actuation pass uses it so a steady-state scan stays allocation-free.
-func (r *RegisterFile) Coil(addr uint16) (bool, error) {
+// CoilsInto copies len(dst) coil states starting at addr into dst under one
+// read lock, without allocating — the scan cycle's actuation pass reads
+// every relay coil this way.
+func (r *RegisterFile) CoilsInto(addr uint16, dst []bool) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if int(addr) >= len(r.coils) {
-		return false, ErrAddress
+	if int(addr)+len(dst) > len(r.coils) {
+		return ErrAddress
 	}
-	return r.coils[addr], nil
+	copy(dst, r.coils[addr:])
+	return nil
 }
 
 // ReadCoils returns count coil states starting at addr.
 func (r *RegisterFile) ReadCoils(addr, count uint16) ([]bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if int(addr)+int(count) > len(r.coils) {
-		return nil, ErrAddress
-	}
 	out := make([]bool, count)
-	copy(out, r.coils[addr:int(addr)+int(count)])
+	if err := r.CoilsInto(addr, out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -168,14 +169,16 @@ func (r *RegisterFile) ReadInput(addr, count uint16) ([]uint16, error) {
 	return out, nil
 }
 
-// SetInput stores an input-register code (driven by the analog modules).
-func (r *RegisterFile) SetInput(addr uint16, v uint16) error {
+// SetInputs stores len(vals) input-register codes starting at addr under
+// one write lock — the scan cycle's sample pass writes a whole bank of
+// analog readings this way.
+func (r *RegisterFile) SetInputs(addr uint16, vals []uint16) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(addr) >= len(r.input) {
+	if int(addr)+len(vals) > len(r.input) {
 		return ErrAddress
 	}
-	r.input[addr] = v
+	copy(r.input[addr:], vals)
 	return nil
 }
 

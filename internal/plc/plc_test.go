@@ -47,11 +47,43 @@ func TestRegisterFileBounds(t *testing.T) {
 	if err := r.WriteHolding(3, []uint16{1, 2}); !errors.Is(err, ErrAddress) {
 		t.Errorf("holding write OOB error = %v", err)
 	}
-	if err := r.SetInput(9, 1); !errors.Is(err, ErrAddress) {
+	if err := r.SetInputs(9, []uint16{1}); !errors.Is(err, ErrAddress) {
 		t.Errorf("input OOB error = %v", err)
 	}
 	if _, err := r.ReadDiscrete(2, 3); !errors.Is(err, ErrAddress) {
 		t.Errorf("discrete OOB error = %v", err)
+	}
+}
+
+func TestRegisterFileBulkBounds(t *testing.T) {
+	r := NewRegisterFile(4, 0, 0, 4)
+	if err := r.SetInputs(3, []uint16{1, 2}); !errors.Is(err, ErrAddress) {
+		t.Errorf("bulk input write OOB error = %v", err)
+	}
+	if err := r.SetInputs(5, nil); !errors.Is(err, ErrAddress) {
+		t.Errorf("empty bulk input write past the bank error = %v", err)
+	}
+	if err := r.CoilsInto(2, make([]bool, 3)); !errors.Is(err, ErrAddress) {
+		t.Errorf("bulk coil read OOB error = %v", err)
+	}
+	if err := r.CoilsInto(5, nil); !errors.Is(err, ErrAddress) {
+		t.Errorf("empty bulk coil read past the bank error = %v", err)
+	}
+	// A rejected write leaves the bank untouched.
+	if got, _ := r.ReadInput(3, 1); got[0] != 0 {
+		t.Errorf("rejected bulk write stored %d", got[0])
+	}
+	// Exactly filling the bank is legal.
+	if err := r.SetInputs(2, []uint16{7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.ReadInput(0, 4); got[2] != 7 || got[3] != 8 {
+		t.Errorf("inputs = %v", got)
+	}
+	_ = r.WriteCoil(3, true)
+	dst := make([]bool, 2)
+	if err := r.CoilsInto(2, dst); err != nil || dst[0] || !dst[1] {
+		t.Errorf("CoilsInto = %v, %v", dst, err)
 	}
 }
 
@@ -71,7 +103,7 @@ func TestRegisterFileHolding(t *testing.T) {
 
 func TestRegisterFileInputAndDiscrete(t *testing.T) {
 	r := NewRegisterFile(0, 4, 0, 4)
-	if err := r.SetInput(1, 2048); err != nil {
+	if err := r.SetInputs(1, []uint16{2048}); err != nil {
 		t.Fatal(err)
 	}
 	in, err := r.ReadInput(0, 2)
@@ -94,11 +126,15 @@ func TestRegisterFileConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			vals := make([]uint16, 8)
+			dst := make([]bool, 8)
 			for i := 0; i < 500; i++ {
 				_ = r.WriteCoil(uint16(g), i%2 == 0)
 				_, _ = r.ReadCoils(0, 16)
-				_ = r.SetInput(uint16(g), uint16(i))
+				_ = r.SetInputs(uint16(g), []uint16{uint16(i)})
 				_, _ = r.ReadInput(0, 16)
+				_ = r.SetInputs(uint16(g), vals)
+				_ = r.CoilsInto(uint16(g), dst)
 			}
 		}(g)
 	}
@@ -108,7 +144,7 @@ func TestRegisterFileConcurrency(t *testing.T) {
 func TestPLCScanCycle(t *testing.T) {
 	p := New(6)
 	var sampled, actuated int
-	p.Sample = func(r *RegisterFile) { sampled++; _ = r.SetInput(0, 42) }
+	p.Sample = func(r *RegisterFile) { sampled++; _ = r.SetInputs(0, []uint16{42}) }
 	p.Actuate = func(r *RegisterFile) { actuated++ }
 	p.Tick(time.Second)
 	if sampled == 0 || actuated == 0 {

@@ -27,7 +27,10 @@ type FleetSpec struct {
 // stores (battery.NewBankFleet, relay.NewFabricFleet), so one simulated
 // second of the whole fleet walks contiguous arrays instead of N scattered
 // heaps. Run interleaves plants tick-by-tick to exploit that locality;
-// interleaving is result-invariant because the plants share no state.
+// interleaving is result-invariant because the plants share no simulated
+// state. The shared battery store does hold one step-length cache that every
+// bank writes, so a Fleet's plants must be ticked from one goroutine, as Run
+// does.
 type Fleet struct {
 	step    time.Duration
 	systems []*System

@@ -77,9 +77,9 @@ type cell struct {
 }
 
 // RunCells executes fn(i) for i in [0, n) on a work-stealing pool and
-// returns the first error in input order, or nil. workers <= 0 means
-// GOMAXPROCS; the caller always participates as a worker, and workers == 1
-// runs everything inline with no goroutines.
+// returns the first error in input order among the cells that ran, or nil.
+// workers <= 0 means GOMAXPROCS; the caller always participates as a
+// worker, and workers == 1 runs everything inline with no goroutines.
 //
 // If ctx already carries a pool (this call is nested inside a cell), the
 // cells join the enclosing pool — the submitting worker helps execute them
@@ -89,6 +89,9 @@ type cell struct {
 // The first cell error (or panic, converted to an error with its stack)
 // cancels the batch context; cells that have not started by then record the
 // cancellation instead of running, while in-flight cells finish normally.
+// Which cells ran depends on scheduling: a cell at a lower index than the
+// first failure may have been cancelled before it started, so its own
+// error can never win.
 // RunCells returns only after every cell has either run or been marked
 // cancelled, so no work is left dangling.
 func RunCells(ctx context.Context, workers, n int, fn CellFunc) error {

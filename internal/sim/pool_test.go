@@ -79,11 +79,18 @@ func TestRunCellsNestedBatch(t *testing.T) {
 func TestRunCellsFirstErrorInInputOrderWins(t *testing.T) {
 	errA := errors.New("cell 3 failed")
 	errB := errors.New("cell 9 failed")
+	// RunCells promises the first error in input order among the cells
+	// that ran. A thief can take cell 9 early; if it failed before cell 3
+	// started, the cancellation would keep cell 3 from running at all. So
+	// cell 9 fails only once cell 3 has started.
+	started3 := make(chan struct{})
 	err := sim.RunCells(context.Background(), 4, 12, func(_ context.Context, i int, _ *sim.Arena) error {
 		switch i {
 		case 3:
+			close(started3)
 			return errA
 		case 9:
+			<-started3
 			return errB
 		}
 		return nil

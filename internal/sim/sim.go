@@ -21,6 +21,7 @@ import (
 	"insure/internal/logbook"
 	"insure/internal/metrics"
 	"insure/internal/plc"
+	"insure/internal/plcio"
 	"insure/internal/relay"
 	"insure/internal/sensor"
 	"insure/internal/server"
@@ -248,7 +249,13 @@ func New(cfg Config, sink Sink) (*System, error) {
 		s.Probes = append(s.Probes, sensor.NewBatteryProbe(i))
 	}
 	s.Cluster.SetUtil(sink.Spec().Util)
-	s.wirePLC()
+	plcio.Bind(s.PLC, plcio.Panel{
+		Bank:   s.Bank,
+		Fabric: s.Fabric,
+		Probes: s.Probes,
+		Solar:  &s.solarNow,
+		Load:   &s.loadNow,
+	})
 	// Prime the register file so the first control pass sees real sensor
 	// samples rather than zeroed registers.
 	s.PLC.ScanNow()
@@ -307,44 +314,6 @@ func (s *System) LoadNow() units.Watt { return s.loadNow }
 
 // Brownouts counts forced shutdowns from supply collapse.
 func (s *System) Brownouts() int { return s.brownouts }
-
-// wirePLC binds the analog sampling and coil actuation hooks.
-func (s *System) wirePLC() {
-	s.PLC.Sample = func(r *plc.RegisterFile) {
-		for i, u := range s.Bank.Units() {
-			snap := u.Snapshot()
-			s.Probes[i].Sample(snap.Terminal, snap.LastCurrent)
-			_ = r.SetInput(plc.InputVolt(i), s.Probes[i].Volt.Raw())
-			_ = r.SetInput(plc.InputCurrent(i), s.Probes[i].Current.Raw())
-		}
-		_ = r.SetInput(plc.InputSolarPower, uint16(units.Clamp(float64(s.solarNow), 0, 65535)))
-		_ = r.SetInput(plc.InputLoadPower, uint16(units.Clamp(float64(s.loadNow), 0, 65535)))
-	}
-	s.PLC.Actuate = func(r *plc.RegisterFile) {
-		for i := 0; i < s.Bank.Size(); i++ {
-			cr, err := r.Coil(plc.CoilCharge(i))
-			if err != nil {
-				continue
-			}
-			dr, err := r.Coil(plc.CoilDischarge(i))
-			if err != nil {
-				continue
-			}
-			pair := s.Fabric.Pair(i)
-			switch {
-			case cr && dr:
-				// Interlock: refuse the double-closed command.
-				pair.SetMode(relay.Open)
-			case cr:
-				pair.SetMode(relay.Charging)
-			case dr:
-				pair.SetMode(relay.Discharging)
-			default:
-				pair.SetMode(relay.Open)
-			}
-		}
-	}
-}
 
 // remoteClient is the Modbus surface the control plane needs.
 type remoteClient interface {

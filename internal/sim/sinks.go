@@ -105,6 +105,10 @@ func (b *BatchSink) Rollover() {
 // batchSinkStateVersion versions the sink's serialized layout.
 const batchSinkStateVersion = 1
 
+// scheduledJobBytes is the encoded size of one scheduled arrival: its
+// 8-byte time plus the job.
+const scheduledJobBytes = 8 + workload.JobStateBytes
+
 // AppendState serializes the sink — arrival cursor, in-flight scheduled
 // arrivals, and the whole queue — for the fleet daemon's day-boundary
 // snapshots.
@@ -128,6 +132,12 @@ func (b *BatchSink) RestoreState(d *journal.Decoder) error {
 	n := d.Int()
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("sim: corrupt batch sink state: %w", err)
+	}
+	// A count the rest of the payload cannot hold is rejected before any
+	// arrival is decoded, so a garbled count can neither spin nor exhaust
+	// memory.
+	if n < 0 || n > d.Remaining()/scheduledJobBytes {
+		return fmt.Errorf("sim: corrupt batch sink state: %d scheduled jobs in %d bytes", n, d.Remaining())
 	}
 	b.scheduled = b.scheduled[:0]
 	for i := 0; i < n; i++ {

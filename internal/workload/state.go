@@ -13,9 +13,10 @@ import (
 
 const batchQueueStateVersion = 1
 
-// jobStateBytes is the encoded size of one job: five 8-byte fields, a
-// bool byte, and the 8-byte origin.
-const jobStateBytes = 49
+// JobStateBytes is the encoded size of one job written by AppendJobState:
+// five 8-byte fields, a bool byte, and the 8-byte origin. Decoders of
+// payloads holding jobs bound their job counts with it.
+const JobStateBytes = 49
 
 // AppendJobState serializes one job; DecodeJobState reads it back. The
 // fleet layer also uses the pair for in-flight migrated jobs riding sink
@@ -88,7 +89,7 @@ func decodeJobs(d *journal.Decoder, dst []*Job) ([]*Job, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("workload: corrupt batch queue state: %w", err)
 	}
-	if n < 0 || n > d.Remaining()/jobStateBytes {
+	if n < 0 || n > d.Remaining()/JobStateBytes {
 		return nil, fmt.Errorf("workload: corrupt batch queue state: %d jobs in %d bytes", n, d.Remaining())
 	}
 	for i := 0; i < n; i++ {
