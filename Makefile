@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-layers bench-json bench-scaling perf-diff experiments clean
+.PHONY: all build test race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage fmt-check fuzz-short check bench bench-layers bench-json bench-scaling perf-diff experiments clean
 
 all: build
 
@@ -12,6 +12,18 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted, and
+# lists the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# fuzz-short runs each native fuzz target of the gateway's HTTP surface for
+# five seconds: class-name parsing and the /query handler driven with raw
+# query strings (the seed corpus lives in internal/gateway/testdata/fuzz).
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseClass$$' -fuzztime 5s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryHandler$$' -fuzztime 5s ./internal/gateway
 
 race:
 	$(GO) test -race ./...
@@ -147,18 +159,20 @@ bench-scaling:
 # simulation, the telemetry-plane smoke test, the crash-recovery chaos
 # campaigns, the energy-emergency survivability gates, the fleet-federation
 # gates, the serving-plane gates, the degraded-WAN gates, the self-healing
-# storage gates, the per-layer benchmarks, and the multicore scaling gate.
-check: vet vet-storage build race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-layers bench-scaling
+# storage gates, the per-layer benchmarks, the multicore scaling gate, the
+# gofmt check, and the short fuzz runs of the gateway's HTTP surface.
+check: fmt-check vet vet-storage build race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-layers bench-scaling fuzz-short
 
 # bench runs the simulation hot-path and experiment benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemTick|BenchmarkFullDaySimulation|BenchmarkBattery' -benchmem .
 
 # bench-layers runs the package-local benchmarks of the tick's layers — the
-# PLC scan, a battery unit's snapshot, and a bank's rest step — for a fixed
-# iteration count, reporting ns/op and allocs/op for each.
+# PLC scan, a battery unit's snapshot, a bank's rest step, and one gateway
+# admission decision on each of its served, queued and shed paths — for a
+# fixed iteration count, reporting ns/op and allocs/op for each.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'PLCScan|UnitSnapshot|BankRest' -benchtime 1000x -benchmem ./internal/sim ./internal/battery
+	$(GO) test -run '^$$' -bench 'PLCScan|UnitSnapshot|BankRest|GatewayOffer' -benchtime 1000x -benchmem ./internal/sim ./internal/battery ./internal/gateway
 
 # bench-json writes the machine-readable performance report.
 bench-json:

@@ -127,8 +127,9 @@ func main() {
 	now := func() time.Duration { return time.Duration(clock.Load()) }
 
 	// Tick loop: advance the plant at accel× wall speed. Lock order is
-	// gateway.mu → plant.mu (Advance and Admit take the gateway lock, then
-	// read the plant), so the plant lock is released before Advance.
+	// gateway.mu → plant.mu (Advance reads the plant's state and a shedding
+	// Admit its forecast under the gateway lock), so the plant lock is
+	// released before Advance. Admissions see the plant as of that Advance.
 	go func() {
 		step := scfg.Step
 		tod := lo

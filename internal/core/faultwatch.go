@@ -158,7 +158,7 @@ func (m *Manager) detectFaults(sys *sim.System, now time.Duration) {
 			continue
 		}
 		v, cur := sys.UnitReading(i)
-		soc := estSoC(sys, i)
+		soc := estSoC(sys, &p, i)
 
 		// Sudden capacity loss: a one-period SoC collapse at steady current.
 		// A current step invalidates the comparison — the voltage-based

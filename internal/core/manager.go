@@ -18,6 +18,7 @@ import (
 	"math"
 	"time"
 
+	"insure/internal/battery"
 	"insure/internal/forecast"
 	"insure/internal/logbook"
 	"insure/internal/relay"
@@ -243,13 +244,17 @@ func (m *Manager) Screenings() int { return m.screenings }
 // same reading the control plane steers by, exported so the fleet
 // coordinator ranks sites by the SoC their own controllers believe in
 // rather than by ground-truth battery state it could never observe.
-func EstimatedSoC(sys *sim.System, i int) float64 { return estSoC(sys, i) }
+func EstimatedSoC(sys *sim.System, i int) float64 {
+	p := sys.Config().BatteryParams
+	return estSoC(sys, &p, i)
+}
 
 // estSoC estimates a unit's state of charge from its transduced terminal
-// voltage, compensating the resistive sag with the transduced current.
-func estSoC(sys *sim.System, i int) float64 {
+// voltage, compensating the resistive sag with the transduced current. p
+// is the plant's battery parameters; callers read them once per pass, not
+// once per unit, since sys.Config copies the whole plant configuration.
+func estSoC(sys *sim.System, p *battery.Params, i int) float64 {
 	v, cur := sys.UnitReading(i)
-	p := sys.Config().BatteryParams
 	ocv := float64(v) + float64(cur)*p.InternalOhm
 	return units.Clamp((ocv-float64(p.OCVEmpty))/float64(p.OCVFull-p.OCVEmpty), 0, 1)
 }
@@ -479,13 +484,13 @@ func (m *Manager) screenOffline(sys *sim.System) {
 // retireDrainedUnits moves exhausted discharging units Offline (Fig 8
 // transition 4).
 func (m *Manager) retireDrainedUnits(sys *sim.System) {
-	cutoff := sys.Config().BatteryParams.CutoffVolt
+	bp := sys.Config().BatteryParams
 	for i, g := range m.groups {
 		if g != GroupDischarging && g != GroupStandby {
 			continue
 		}
 		v, _ := sys.UnitReading(i)
-		if estSoC(sys, i) < m.cfg.MinSoC || v < cutoff {
+		if estSoC(sys, &bp, i) < m.cfg.MinSoC || v < bp.CutoffVolt {
 			m.groups[i] = GroupOffline
 			m.commissioned[i] = false
 		}
@@ -502,12 +507,13 @@ func (m *Manager) promoteChargedUnits(sys *sim.System) {
 		active[i] = true
 	}
 	stallLimit := int((45 * time.Minute) / m.cfg.Period)
+	bp := sys.Config().BatteryParams
 	for i, g := range m.groups {
 		if g != GroupCharging {
 			m.chargeStall[i] = 0
 			continue
 		}
-		soc := estSoC(sys, i)
+		soc := estSoC(sys, &bp, i)
 		if soc >= m.cfg.TargetSoC {
 			m.groups[i] = GroupStandby
 			m.commissioned[i] = true
@@ -726,9 +732,10 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 // charging unit onto the discharge bus within one control period.
 func (m *Manager) dischargeablePower(sys *sim.System) units.Watt {
 	per := m.perUnitDischargePower(sys)
+	bp := sys.Config().BatteryParams
 	var p units.Watt
 	for i, g := range m.groups {
-		if g != GroupOffline && estSoC(sys, i) > m.cfg.MinSoC+0.05 {
+		if g != GroupOffline && estSoC(sys, &bp, i) > m.cfg.MinSoC+0.05 {
 			p += per
 		}
 	}
@@ -756,9 +763,10 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 		// out of the charging group.
 		charging := m.appendUnitsIn(m.scratchA[:0], GroupCharging)
 		m.scratchA = charging
+		bp := sys.Config().BatteryParams
 		for a := 0; a < len(charging); a++ {
 			for b := a + 1; b < len(charging); b++ {
-				if estSoC(sys, charging[b]) > estSoC(sys, charging[a]) {
+				if estSoC(sys, &bp, charging[b]) > estSoC(sys, &bp, charging[a]) {
 					charging[a], charging[b] = charging[b], charging[a]
 				}
 			}
@@ -767,7 +775,7 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 			if avail >= need {
 				break
 			}
-			if estSoC(sys, i) > m.cfg.MinSoC {
+			if estSoC(sys, &bp, i) > m.cfg.MinSoC {
 				m.groups[i] = GroupStandby
 				avail++
 			}
@@ -806,13 +814,14 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 // charge target rejoin the charging group first (the paper's standby units
 // receive float charging).
 func (m *Manager) assignChargeSet(sys *sim.System) {
+	bp := sys.Config().BatteryParams
 	for i, g := range m.groups {
-		if g == GroupStandby && estSoC(sys, i) < m.cfg.TargetSoC-0.05 {
+		if g == GroupStandby && estSoC(sys, &bp, i) < m.cfg.TargetSoC-0.05 {
 			m.groups[i] = GroupCharging
 		}
 	}
 	surplus := float64(sys.SolarNow() - sys.Cluster.Power())
-	ppc := float64(sys.Config().BatteryParams.PeakChargePower())
+	ppc := float64(bp.PeakChargePower())
 	n := 0
 	if surplus > 0 && ppc > 0 {
 		n = int(surplus / ppc)
@@ -853,7 +862,7 @@ func (m *Manager) assignChargeSet(sys *sim.System) {
 		m.scratchB = candidates
 		for a := 0; a < len(candidates); a++ {
 			for b := a + 1; b < len(candidates); b++ {
-				if estSoC(sys, candidates[b]) < estSoC(sys, candidates[a]) {
+				if estSoC(sys, &bp, candidates[b]) < estSoC(sys, &bp, candidates[a]) {
 					candidates[a], candidates[b] = candidates[b], candidates[a]
 				}
 			}
@@ -871,6 +880,7 @@ func (m *Manager) assignChargeSet(sys *sim.System) {
 // the emergency floor, checkpoint and shut down.
 func (m *Manager) temporalCap(sys *sim.System) {
 	spec := sys.Sink.Spec()
+	bp := sys.Config().BatteryParams
 	var id float64
 	online := 0
 	var socSum float64
@@ -883,7 +893,7 @@ func (m *Manager) temporalCap(sys *sim.System) {
 			id += float64(cur)
 		}
 		online++
-		socSum += estSoC(sys, i)
+		socSum += estSoC(sys, &bp, i)
 	}
 	capTotal := float64(m.cfg.UnitDischargeCap) * float64(max(online, 1))
 

@@ -33,13 +33,14 @@ type Outlook struct {
 // identical mean), exported so admission control outside the control loop
 // shares the controller's view of the buffer.
 func (m *Manager) MeanSoC(sys *sim.System) float64 {
+	bp := sys.Config().BatteryParams
 	var sum float64
 	n := 0
 	for i := range m.groups {
 		if m.watch.quarantined[i] {
 			continue
 		}
-		sum += estSoC(sys, i)
+		sum += estSoC(sys, &bp, i)
 		n++
 	}
 	if n == 0 {

@@ -345,7 +345,7 @@ func (m *Manager) ckptSupportNodes(sys *sim.System, now time.Duration) int {
 		if m.watch.quarantined[i] || m.groups[i] == GroupOffline {
 			continue
 		}
-		if estSoC(sys, i) > m.cfg.MinSoC+0.05 {
+		if estSoC(sys, &p, i) > m.cfg.MinSoC+0.05 {
 			supply += perUnit
 		}
 	}
@@ -404,7 +404,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 		if m.watch.quarantined[i] {
 			continue
 		}
-		soc := estSoC(sys, i)
+		soc := estSoC(sys, &p, i)
 		socSum += soc
 		if soc > m.cfg.MinSoC {
 			usableWh += (soc - m.cfg.MinSoC) * unitWh
@@ -474,7 +474,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 				if m.watch.quarantined[i] || m.groups[i] == GroupOffline {
 					continue
 				}
-				if estSoC(sys, i) >= m.cfg.MinSoC+0.1 {
+				if estSoC(sys, &p, i) >= m.cfg.MinSoC+0.1 {
 					m.commissioned[i] = true
 					if m.groups[i] == GroupCharging {
 						m.groups[i] = GroupStandby

@@ -15,14 +15,14 @@ type stubSink struct {
 	inFlight int
 }
 
-func (s *stubSink) Spec() workload.Spec                                  { return workload.Spec{} }
-func (s *stubSink) Tick(_, _ time.Duration, _ float64, _ int) float64    { return 0 }
-func (s *stubSink) HasWork(time.Duration) bool                           { return false }
-func (s *stubSink) ProcessedGB() float64                                 { return 0 }
-func (s *stubSink) DelayMinutes() float64                                { return 0 }
-func (s *stubSink) PendingGB() float64                                   { return s.pending }
-func (s *stubSink) TakeJobs() []*workload.Job                            { return nil }
-func (s *stubSink) Schedule(time.Duration, *workload.Job)                {}
+func (s *stubSink) Spec() workload.Spec                               { return workload.Spec{} }
+func (s *stubSink) Tick(_, _ time.Duration, _ float64, _ int) float64 { return 0 }
+func (s *stubSink) HasWork(time.Duration) bool                        { return false }
+func (s *stubSink) ProcessedGB() float64                              { return 0 }
+func (s *stubSink) DelayMinutes() float64                             { return 0 }
+func (s *stubSink) PendingGB() float64                                { return s.pending }
+func (s *stubSink) TakeJobs() []*workload.Job                         { return nil }
+func (s *stubSink) Schedule(time.Duration, *workload.Job)             {}
 
 // streamStub is a sink that is NOT migratable — the camera-site case.
 type streamStub struct{}

@@ -278,13 +278,13 @@ type Coordinator struct {
 	// twice. landed and inXfer are the exactly-once guards: a job ID that
 	// lands twice or enters a second transfer while in flight increments
 	// the Totals guard counters instead of silently double-running.
-	xfers     []*transfer
-	nextXfer  uint64
-	nextShip  uint64 // legacy shipment IDs for the image store
+	xfers      []*transfer
+	nextXfer   uint64
+	nextShip   uint64 // legacy shipment IDs for the image store
 	appliedSeq uint64
-	landed    map[uint64]bool
-	inXfer    map[uint64]uint64 // job ID -> transfer ID
-	heals     int               // suspected/declared sites that beat again
+	landed     map[uint64]bool
+	inXfer     map[uint64]uint64 // job ID -> transfer ID
+	heals      int               // suspected/declared sites that beat again
 
 	// donorRank is the pass-scoped donor ordering: site indices that pass
 	// every frozen donor filter, sorted by sampled SoC descending (ties to

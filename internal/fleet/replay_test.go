@@ -14,8 +14,8 @@ import (
 // stubManager is a do-nothing manager for tests that never tick a plant.
 type stubManager struct{}
 
-func (stubManager) Name() string                          { return "stub" }
-func (stubManager) Period() time.Duration                 { return time.Minute }
+func (stubManager) Name() string                           { return "stub" }
+func (stubManager) Period() time.Duration                  { return time.Minute }
 func (stubManager) Control(_ *sim.System, _ time.Duration) {}
 
 // wanLogFixture appends a migration-log sequence exercising every v2 record

@@ -193,6 +193,11 @@ type State struct {
 // must be safe for concurrent use with the simulation when the gateway is
 // driven from multiple goroutines (the live daemon serialises plant ticks
 // and gateway calls behind one mutex; see cmd/insure-gateway).
+//
+// Admission sees the plant as of the last Advance: the gateway reads State
+// once per Advance (plus once per Drain, and per request only before the
+// first Advance), so a driver that changes the plant calls Advance before
+// offering more traffic.
 type Plant interface {
 	// State reports the energy state at sim time now.
 	State(now time.Duration) State
@@ -352,7 +357,8 @@ func degradedIn(mode core.OpMode) bool {
 	return mode == core.ModeSurvival || mode == core.ModeBlackstart
 }
 
-// pending is one queued request.
+// pending is one queued request. Queues hold it by value, so queueing a
+// request allocates nothing beyond amortised slice growth.
 type pending struct {
 	class    Class
 	arrived  time.Duration
@@ -363,18 +369,16 @@ type pending struct {
 
 // fifo is a head-indexed queue of pending requests.
 type fifo struct {
-	q    []*pending
+	q    []pending
 	head int
 }
 
-func (f *fifo) len() int       { return len(f.q) - f.head }
-func (f *fifo) front() *pending {
-	return f.q[f.head]
-}
-func (f *fifo) push(p *pending) { f.q = append(f.q, p) }
-func (f *fifo) pop() *pending {
+func (f *fifo) len() int        { return len(f.q) - f.head }
+func (f *fifo) front() *pending { return &f.q[f.head] }
+func (f *fifo) push(p pending)  { f.q = append(f.q, p) }
+func (f *fifo) pop() pending {
 	p := f.q[f.head]
-	f.q[f.head] = nil
+	f.q[f.head] = pending{} // drop the ticket channel reference
 	f.head++
 	if f.head > 64 && f.head*2 >= len(f.q) {
 		n := copy(f.q, f.q[f.head:])
@@ -412,9 +416,15 @@ type Gateway struct {
 	plant Plant
 
 	now      time.Duration
+	st       State // the plant as of the last Advance; admission decides on it
 	lastMode core.OpMode
 	started  bool
 	tokens   float64
+
+	// retry memoises retryAfter(retryAt); zero means not yet computed.
+	// Advance clears it, since the forecast moves with the plant.
+	retryAt time.Duration
+	retry   time.Duration
 
 	queues [NumClasses]fifo
 	stats  Stats
@@ -441,6 +451,13 @@ func (g *Gateway) Now() time.Duration {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.now
+}
+
+// snapshot returns the energy state read at the last Advance.
+func (g *Gateway) snapshot() State {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.st
 }
 
 // capacityQPS is the serving rate the energy state funds right now:
@@ -477,8 +494,18 @@ func (g *Gateway) socFactor(soc float64) float64 {
 // retryAfter derives the back-off hint from the supply forecast: the time
 // until the conservative forecast first reaches RecoveryW, clamped to
 // [MinRetry, RetryHorizon]. When the forecast never recovers inside the
-// horizon the hint is the full horizon — "come back tomorrow".
+// horizon the hint is the full horizon — "come back tomorrow". The walk
+// runs once per sim instant between Advances; every later shed at the
+// same instant reuses it.
 func (g *Gateway) retryAfter(now time.Duration) time.Duration {
+	if g.retry == 0 || g.retryAt != now {
+		g.retryAt, g.retry = now, g.forecastRetry(now)
+	}
+	return g.retry
+}
+
+// forecastRetry is retryAfter's forecast walk; it is always positive.
+func (g *Gateway) forecastRetry(now time.Duration) time.Duration {
 	for t := now + g.cfg.RetryStep; t <= now+g.cfg.RetryHorizon; t += g.cfg.RetryStep {
 		if g.plant.ForecastW(t) >= g.cfg.RecoveryW {
 			d := t - now
@@ -504,15 +531,19 @@ func (g *Gateway) drainEstimate(ahead int, rate float64) time.Duration {
 	return d
 }
 
-// Advance moves the gateway's clock to sim time now: refills the token
-// bucket at the energy-derated rate, re-triages the queue if the ladder
-// moved, expires deadline-blown waiters, and dispatches queued requests
-// into the freed capacity. The plant driver calls it once per tick, after
-// the plant itself has stepped.
+// Advance moves the gateway's clock to sim time now: reads the plant's
+// energy state, refills the token bucket at the energy-derated rate,
+// re-triages the queue if the ladder moved, expires deadline-blown
+// waiters, and dispatches queued requests into the freed capacity. The
+// plant driver calls it once per tick, after the plant itself has stepped.
+// The state read here is the one every Admit and Offer until the next
+// Advance decides against.
 func (g *Gateway) Advance(now time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st := g.plant.State(now)
+	g.st = st
+	g.retry = 0
 	if !g.started {
 		g.started = true
 		g.now = now
@@ -538,7 +569,6 @@ func (g *Gateway) Advance(now time.Duration) {
 // forecast retry-after hints. Queued requests were never admitted, so this
 // sheds promises-not-yet-made — the AdmittedDropped invariant stays zero.
 func (g *Gateway) retriage(now time.Duration, st State) {
-	retry := time.Duration(0)
 	for c := Class(0); c < NumClasses; c++ {
 		if servedIn(st.Mode, c) {
 			continue
@@ -546,10 +576,7 @@ func (g *Gateway) retriage(now time.Duration, st State) {
 		q := &g.queues[c]
 		for q.len() > 0 {
 			p := q.pop()
-			if retry == 0 {
-				retry = g.retryAfter(now)
-			}
-			g.shedPending(p, now, st, ShedRetriage, retry)
+			g.shedPending(&p, now, st, ShedRetriage, g.retryAfter(now))
 		}
 	}
 }
@@ -562,7 +589,7 @@ func (g *Gateway) expire(now time.Duration, st State) {
 		q := &g.queues[c]
 		for q.len() > 0 && q.front().deadline < now {
 			p := q.pop()
-			g.shedPending(p, now, st, ShedDeadline, g.drainEstimate(g.aheadOf(p.class), g.capacityQPS(st)))
+			g.shedPending(&p, now, st, ShedDeadline, g.drainEstimate(g.aheadOf(p.class), g.capacityQPS(st)))
 		}
 	}
 }
@@ -578,7 +605,7 @@ func (g *Gateway) dispatch(now time.Duration, st State) {
 		for q.len() > 0 && g.tokens >= 1 {
 			p := q.pop()
 			g.tokens--
-			g.serve(p, now, st, now-p.arrived)
+			g.serve(&p, now, st, now-p.arrived)
 		}
 	}
 }
@@ -600,11 +627,11 @@ func (g *Gateway) aheadOf(c Class) int {
 func (g *Gateway) Admit(now time.Duration, class Class) (Outcome, *Ticket) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out, p := g.admit(now, class, true)
-	if p == nil {
+	out, ch := g.admit(now, class, true)
+	if ch == nil {
 		return out, nil
 	}
-	return out, &Ticket{C: p.ch}
+	return out, &Ticket{C: ch}
 }
 
 // Offer is Admit without a ticket: queued requests resolve internally
@@ -617,14 +644,20 @@ func (g *Gateway) Offer(now time.Duration, class Class) Outcome {
 	return out
 }
 
-func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome, *pending) {
+// admit decides one request against the state of the last Advance (a
+// fresh gateway that has never advanced reads the plant directly). It
+// returns the ticket channel of a ticketed request that was queued.
+func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome, chan Outcome) {
 	if now < g.now {
 		// Clock discipline: arrivals never move time backwards; a racing
 		// admit between ticks stamps at the gateway clock.
 		now = g.now
 	}
 	g.stats.Requests++
-	st := g.plant.State(now)
+	st := g.st
+	if !g.started {
+		st = g.plant.State(now)
+	}
 	pol := g.cfg.Classes[class]
 
 	if !servedIn(st.Mode, class) {
@@ -639,9 +672,8 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 	// priority is already waiting (FIFO fairness within the class).
 	if g.tokens >= 1 && g.aheadOf(class) == 0 {
 		g.tokens--
-		p := &pending{class: class, arrived: now}
-		out := g.serve(p, now, st, 0)
-		return out, nil
+		p := pending{class: class, arrived: now}
+		return g.serve(&p, now, st, 0), nil
 	}
 
 	// Deadline-aware queueing: refuse up front what cannot possibly start
@@ -653,7 +685,7 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 		return g.shedNow(class, now, st, ShedCapacity, g.drainEstimate(ahead, rate)), nil
 	}
 
-	p := &pending{class: class, arrived: now, deadline: now + pol.Deadline}
+	p := pending{class: class, arrived: now, deadline: now + pol.Deadline}
 	if ticketed {
 		p.ch = make(chan Outcome, 1)
 	}
@@ -664,7 +696,7 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 		g.tel.queued[class].Inc()
 		g.tel.queueDepth.Set(float64(g.stats.QueueDepth))
 	}
-	return Outcome{Decision: Queued, Class: class, Mode: st.Mode, SoC: st.SoC}, p
+	return Outcome{Decision: Queued, Class: class, Mode: st.Mode, SoC: st.SoC}, p.ch
 }
 
 // serve admits p and completes its service: accounting, energy metering,
@@ -779,7 +811,9 @@ func (g *Gateway) shedPending(p *pending, now time.Duration, st State, why ShedR
 
 // Drain sheds every queued request (gateway shutdown, or end of a replay).
 // Queued requests were never admitted, so draining preserves the
-// AdmittedDropped invariant.
+// AdmittedDropped invariant. Drain may come after the plant's last step
+// without an Advance, so it reads the plant itself for the outcomes it
+// delivers.
 func (g *Gateway) Drain(now time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -787,7 +821,8 @@ func (g *Gateway) Drain(now time.Duration) {
 	for c := Class(0); c < NumClasses; c++ {
 		q := &g.queues[c]
 		for q.len() > 0 {
-			g.shedPending(q.pop(), now, st, ShedDrain, g.retryAfter(now))
+			p := q.pop()
+			g.shedPending(&p, now, st, ShedDrain, g.retryAfter(now))
 		}
 	}
 }

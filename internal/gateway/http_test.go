@@ -41,6 +41,7 @@ func TestQueryServedAndShed(t *testing.T) {
 
 	// Blackout: 503 with a Retry-After header derived from the forecast.
 	plant.set(core.ModeBlackout, 0.1)
+	gw.Advance(0) // admission sees the plant as of the last Advance
 	resp, err = http.Get(srv.URL + "/query?class=critical")
 	if err != nil {
 		t.Fatal(err)

@@ -219,9 +219,9 @@ func runLoadPoint(cfg LoadConfig, reg Regime, qps float64) (LoadPoint, time.Dura
 	site, mix := 0, 0
 	for tod := lo; tod < hi; tod += step {
 		fl.Tick(tod)
-		for i, gw := range gws {
+		for _, gw := range gws {
 			gw.Advance(tod)
-			st := gws[i].plant.State(tod)
+			st := gw.snapshot()
 			modes[st.Mode.String()] = true
 			if tod%(30*time.Second) == 0 {
 				soc.Add(st.SoC)

@@ -189,12 +189,12 @@ type fileScan struct {
 // dirState is loadFull's working view of a store directory: the public
 // LoadResult plus what Open needs to normalize the active journal pair.
 type dirState struct {
-	res        *LoadResult
-	slotSeq    [2]uint64 // intact generation seq per slot (0 = none)
-	maxSeal    uint64    // highest sealed-segment seq
-	rawActive  []byte    // journal.log bytes as found (nil if missing)
-	rawMirror  []byte    // journal.mir bytes as found (nil if missing)
-	activeCanon []rec    // canonical active-journal records (seq > maxSeal), ascending
+	res         *LoadResult
+	slotSeq     [2]uint64 // intact generation seq per slot (0 = none)
+	maxSeal     uint64    // highest sealed-segment seq
+	rawActive   []byte    // journal.log bytes as found (nil if missing)
+	rawMirror   []byte    // journal.mir bytes as found (nil if missing)
+	activeCanon []rec     // canonical active-journal records (seq > maxSeal), ascending
 }
 
 // Load reads the store without opening it for writing, through the real
